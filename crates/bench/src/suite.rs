@@ -43,6 +43,7 @@
 
 use std::time::Instant;
 
+use parapage::cache::SnapWriter;
 use parapage::prelude::*;
 use rayon::pool;
 
@@ -570,9 +571,10 @@ fn entry_envelope(quick: bool, seed: u64) -> EntryOut {
 
 /// Shared core of the two `checkpoint/*` entries: drive one det-par run
 /// tick by tick, emitting a checkpoint every `CKPT_EPOCH` ticks — either a
-/// full snapshot re-encode or an incremental WAL delta — and count the
-/// payload bytes. Byte counts are a deterministic function of the
-/// workload, so they double as the determinism digest.
+/// full framed snapshot or an incremental WAL delta payload, written by
+/// the supervisor's direct writers into one reused buffer — and count the
+/// bytes. Byte counts are a deterministic function of the workload, so
+/// they double as the determinism digest.
 const CKPT_EPOCH: u64 = 8;
 
 /// Per-epoch checkpoint cost measurement; `wal` selects delta vs full.
@@ -586,6 +588,7 @@ pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
         LruCache::new(0)
     });
     let mut sink = NullSink;
+    let mut w = SnapWriter::new();
     let mut bytes = 0u64;
     let mut epochs = 0usize;
     // Cut epochs on the engine's logical clock (events processed), not on
@@ -599,11 +602,13 @@ pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
         let ticks = engine.ticks();
         if ticks >= next_ckpt {
             epochs += 1;
-            bytes += if wal {
-                engine.wal_delta(&alloc).expect("wal delta").encode().len() as u64
+            w.clear();
+            if wal {
+                engine.write_wal_delta(&alloc, &mut w).expect("wal delta");
             } else {
-                engine.snapshot(&alloc).expect("snapshot").encode().len() as u64
-            };
+                engine.write_snapshot(&alloc, &mut w).expect("snapshot");
+            }
+            bytes += w.len() as u64;
             next_ckpt = ticks - ticks % CKPT_EPOCH + CKPT_EPOCH;
         }
     }

@@ -76,9 +76,14 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// The FNV-1a 64-bit offset basis (the state of an empty hash).
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a 64-bit hash over `bytes` — the snapshot integrity digest.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a64_seeded(FNV_OFFSET_BASIS, bytes)
 }
 
 /// FNV-1a 64-bit hash continued from an arbitrary `seed` state.
@@ -92,9 +97,26 @@ pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Two FNV-1a 64-bit hashes of the same `bytes`, continued from two seed
+/// states, in one pass: `(fnv1a64_seeded(seeds.0, bytes),
+/// fnv1a64_seeded(seeds.1, bytes))`.
+///
+/// The two multiply chains are independent, so the pair costs about as
+/// much as one hash. Framing a base snapshot needs both: the payload digest
+/// for the `ppsn` trailer and the whole-blob digest that seeds the WAL
+/// chain (see [`SnapWriter::end_framed`]).
+fn fnv1a64_pair(seeds: (u64, u64), bytes: &[u8]) -> (u64, u64) {
+    let (mut a, mut b) = seeds;
+    for &byte in bytes {
+        a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+        b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+    }
+    (a, b)
 }
 
 /// Leading magic of one framed WAL delta record (`b"ppwr"`).
@@ -117,15 +139,13 @@ pub const WAL_RECORD_HEADER: usize = 4 + 8 + 4;
 /// exact position it was appended at: against a different base, a reordered
 /// log, or a gap, the chain breaks and [`parse_wal_record`] reports a tear.
 pub fn frame_wal_record(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    let len = u32::try_from(payload.len()).expect("WAL record payload exceeds u32");
-    let mut out = Vec::with_capacity(WAL_RECORD_HEADER + payload.len() + 8);
-    out.extend_from_slice(&WAL_RECORD_MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    let digest = fnv1a64_seeded(chain, &out[4..]);
-    out.extend_from_slice(&digest.to_le_bytes());
-    (out, digest)
+    let mut w = SnapWriter {
+        buf: Vec::with_capacity(WAL_RECORD_HEADER + payload.len() + 8),
+    };
+    let mark = w.begin_wal_record(seq);
+    w.buf.extend_from_slice(payload);
+    let digest = w.end_wal_record(mark, chain);
+    (w.buf, digest)
 }
 
 /// Outcome of parsing one WAL record off the front of a log buffer.
@@ -191,10 +211,32 @@ pub fn parse_wal_record(buf: &[u8], chain: u64) -> WalRecordStep<'_> {
 }
 
 /// Append-only payload writer with typed little-endian primitives.
+///
+/// Besides plain appends, a writer can leave a field open and close it
+/// later: [`SnapWriter::begin_bytes`] reserves a length prefix that
+/// [`SnapWriter::end_bytes`] backpatches, and the `begin_`/`end_` pairs for
+/// framed blobs and WAL records do the same for their headers and digest
+/// trailers. That lets a nested blob be written straight into its parent
+/// buffer, byte-identical to building it separately and copying it in.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
 }
+
+/// An open length-prefixed field (see [`SnapWriter::begin_bytes`]).
+#[derive(Debug)]
+#[must_use = "an open field must be closed with `SnapWriter::end_bytes`"]
+pub struct BytesMark(usize);
+
+/// An open framed blob (see [`SnapWriter::begin_framed`]).
+#[derive(Debug)]
+#[must_use = "an open blob must be closed with `SnapWriter::end_framed`"]
+pub struct FramedMark(usize);
+
+/// An open WAL record (see [`SnapWriter::begin_wal_record`]).
+#[derive(Debug)]
+#[must_use = "an open record must be closed with `SnapWriter::end_wal_record`"]
+pub struct WalRecordMark(usize);
 
 impl SnapWriter {
     /// An empty writer.
@@ -207,6 +249,21 @@ impl SnapWriter {
         &self.buf
     }
 
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// `true` when nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Discards everything written, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the writer, yielding the raw payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -215,13 +272,80 @@ impl SnapWriter {
     /// Consumes the writer, yielding a framed blob: magic, version tag,
     /// payload, FNV-1a trailer. The shape [`decode_framed`] accepts.
     pub fn into_framed(self) -> Vec<u8> {
-        let payload = self.buf;
-        let mut out = Vec::with_capacity(payload.len() + 14);
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out
+        let mut w = SnapWriter {
+            buf: Vec::with_capacity(self.buf.len() + 14),
+        };
+        let mark = w.begin_framed();
+        w.buf.extend_from_slice(&self.buf);
+        w.end_framed(mark);
+        w.buf
+    }
+
+    /// Opens a length-prefixed byte field: writes a placeholder `u64`
+    /// length that [`SnapWriter::end_bytes`] fills in. Everything written
+    /// in between is the field's contents, so the result equals
+    /// [`SnapWriter::put_bytes`] of those contents.
+    pub fn begin_bytes(&mut self) -> BytesMark {
+        let at = self.buf.len();
+        self.put_u64(0);
+        BytesMark(at)
+    }
+
+    /// Closes a field opened by [`SnapWriter::begin_bytes`], backpatching
+    /// its length prefix.
+    pub fn end_bytes(&mut self, mark: BytesMark) {
+        let len = (self.buf.len() - mark.0 - 8) as u64;
+        self.buf[mark.0..mark.0 + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Opens a framed blob: writes the magic and version tag. Everything
+    /// written until [`SnapWriter::end_framed`] is the blob's payload, so
+    /// the result equals [`SnapWriter::into_framed`] of that payload.
+    pub fn begin_framed(&mut self) -> FramedMark {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&SNAP_MAGIC);
+        self.buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        FramedMark(at)
+    }
+
+    /// Closes a blob opened by [`SnapWriter::begin_framed`]: appends the
+    /// payload's FNV-1a trailer and returns [`fnv1a64`] of the whole
+    /// framed blob — the chain seed of a WAL written after it as a base.
+    /// One pass over the payload computes both digests.
+    pub fn end_framed(&mut self, mark: FramedMark) -> u64 {
+        let header = fnv1a64(&self.buf[mark.0..mark.0 + 6]);
+        let (trailer, whole) = fnv1a64_pair((FNV_OFFSET_BASIS, header), &self.buf[mark.0 + 6..]);
+        let trailer = trailer.to_le_bytes();
+        self.buf.extend_from_slice(&trailer);
+        fnv1a64_seeded(whole, &trailer)
+    }
+
+    /// Opens WAL record `seq`: writes the magic, the sequence number and a
+    /// placeholder payload length. Everything written until
+    /// [`SnapWriter::end_wal_record`] is the record's payload, so the
+    /// result equals [`frame_wal_record`] of that payload.
+    pub fn begin_wal_record(&mut self, seq: u64) -> WalRecordMark {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&WAL_RECORD_MAGIC);
+        self.put_u64(seq);
+        self.put_u32(0);
+        WalRecordMark(at)
+    }
+
+    /// Closes a record opened by [`SnapWriter::begin_wal_record`]:
+    /// backpatches the payload length, appends the digest chained from
+    /// `chain`, and returns that digest (the next record's chain seed).
+    ///
+    /// # Panics
+    /// When the payload exceeds `u32::MAX` bytes.
+    pub fn end_wal_record(&mut self, mark: WalRecordMark, chain: u64) -> u64 {
+        let at = mark.0;
+        let len = self.buf.len() - at - WAL_RECORD_HEADER;
+        let len = u32::try_from(len).expect("WAL record payload exceeds u32");
+        self.buf[at + 12..at + 16].copy_from_slice(&len.to_le_bytes());
+        let digest = fnv1a64_seeded(chain, &self.buf[at + 4..]);
+        self.buf.extend_from_slice(&digest.to_le_bytes());
+        digest
     }
 
     /// Writes one byte.
@@ -428,6 +552,13 @@ pub trait Checkpoint {
     /// states write equal bytes).
     fn save(&self, w: &mut SnapWriter);
 
+    /// [`Checkpoint::save`] through exclusive access: writes the same
+    /// bytes, but a component that guards its state with locks may skip
+    /// them, because `&mut self` already proves no one else holds it.
+    fn save_mut(&mut self, w: &mut SnapWriter) {
+        self.save(w);
+    }
+
     /// Replaces `self`'s state with the one `r` holds.
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError>;
 }
@@ -547,6 +678,106 @@ mod tests {
         let mid = fnv1a64(b"foo");
         assert_eq!(fnv1a64_seeded(mid, b"bar"), fnv1a64(b"foobar"));
         assert_eq!(fnv1a64_seeded(0xcbf2_9ce4_8422_2325, b"a"), fnv1a64(b"a"));
+    }
+
+    #[test]
+    fn fused_fnv_pair_matches_the_reference_vectors() {
+        // Both lanes from the offset basis: each is plain FNV-1a 64.
+        for (input, want) in [
+            (&b""[..], 0xcbf29ce484222325),
+            (&b"a"[..], 0xaf63dc4c8601ec8c),
+            (&b"foobar"[..], 0x85944171f73967e8),
+        ] {
+            assert_eq!(
+                fnv1a64_pair((FNV_OFFSET_BASIS, FNV_OFFSET_BASIS), input),
+                (want, want)
+            );
+        }
+        // Distinct seeds: each lane continues its own stream.
+        let mid = fnv1a64(b"foo");
+        assert_eq!(
+            fnv1a64_pair((FNV_OFFSET_BASIS, mid), b"bar"),
+            (fnv1a64(b"bar"), fnv1a64(b"foobar"))
+        );
+    }
+
+    #[test]
+    fn backpatched_length_equals_put_bytes() {
+        let mut want = SnapWriter::new();
+        want.put_u8(1);
+        let mut inner = SnapWriter::new();
+        inner.put_u64(7);
+        inner.put_bytes(b"xyz");
+        want.put_bytes(inner.bytes());
+        want.put_bytes(b"");
+        want.put_u8(2);
+
+        let mut got = SnapWriter::new();
+        got.put_u8(1);
+        let outer = got.begin_bytes();
+        got.put_u64(7);
+        let nested = got.begin_bytes();
+        got.put_u8(b'x');
+        got.put_u16(u16::from_le_bytes(*b"yz"));
+        got.end_bytes(nested);
+        got.end_bytes(outer);
+        let empty = got.begin_bytes();
+        got.end_bytes(empty);
+        got.put_u8(2);
+        assert_eq!(got.bytes(), want.bytes());
+
+        let mut r = SnapReader::new(got.bytes());
+        assert_eq!(r.get_u8().unwrap(), 1);
+        let mut inner = SnapReader::new(r.get_bytes().unwrap());
+        assert_eq!(inner.get_u64().unwrap(), 7);
+        assert_eq!(inner.get_bytes().unwrap(), b"xyz");
+        assert_eq!(r.get_bytes().unwrap(), b"");
+    }
+
+    #[test]
+    fn framing_in_place_equals_into_framed_and_seeds_the_chain() {
+        for payload in [&b""[..], b"p", b"a longer snapshot payload"] {
+            let mut w = SnapWriter::new();
+            w.put_u8(0xee); // bytes before the blob stay out of both digests
+            let mark = w.begin_framed();
+            for &b in payload {
+                w.put_u8(b);
+            }
+            let chain = w.end_framed(mark);
+            let mut plain = SnapWriter::new();
+            for &b in payload {
+                plain.put_u8(b);
+            }
+            let want = plain.into_framed();
+            assert_eq!(&w.bytes()[1..], &want[..]);
+            assert_eq!(chain, fnv1a64(&want));
+            assert_eq!(decode_framed(&want).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn wal_record_in_place_matches_the_documented_layout() {
+        let chain = fnv1a64(b"base");
+        let mut w = SnapWriter::new();
+        w.put_bytes(b"earlier record"); // records append after one another
+        let before = w.len();
+        let mark = w.begin_wal_record(9);
+        w.put_u32(0xabcd);
+        let digest = w.end_wal_record(mark, chain);
+
+        let mut want = Vec::new();
+        want.extend_from_slice(b"ppwr");
+        want.extend_from_slice(&9u64.to_le_bytes());
+        want.extend_from_slice(&4u32.to_le_bytes());
+        want.extend_from_slice(&0xabcdu32.to_le_bytes());
+        let want_digest = fnv1a64_seeded(chain, &want[4..]);
+        want.extend_from_slice(&want_digest.to_le_bytes());
+        assert_eq!(&w.bytes()[before..], &want[..]);
+        assert_eq!(digest, want_digest);
+        assert_eq!(
+            frame_wal_record(9, chain, &0xabcdu32.to_le_bytes()),
+            (want, want_digest)
+        );
     }
 
     #[test]

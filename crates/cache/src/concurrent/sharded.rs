@@ -21,6 +21,16 @@
 //!   cache of the same capacity must reproduce the outcomes exactly — the
 //!   linearization evidence the conform oracle checks concurrent histories
 //!   against.
+//!
+//! Two access paths share the shards. The `*_shared` methods take `&self`:
+//! they lock the shard, announce a [`yield_point`] for the schedule
+//! explorer, and serve concurrent callers. The `&mut self` [`Cache`]
+//! methods (`access`, `access_if_fits`, `resize`, `clear`) and
+//! [`Checkpoint::save_mut`] reach each shard through [`Mutex::get_mut`]:
+//! `&mut` already proves no other thread holds the cache, so they take no
+//! lock, announce no yield point, and read the ledger switch without an
+//! atomic load. Both paths run the same shard code and record the same
+//! ledgers, so they give identical outcomes on the same stream.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -109,6 +119,11 @@ impl<C: Cache> ShardedCache<C> {
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Shard `i` through exclusive access: no lock taken.
+    fn shard_mut(&mut self, i: usize) -> &mut Shard<C> {
+        self.shards[i].get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Capacity of every shard, in shard order (what a ledger replayer
     /// needs to rebuild each shard's sequential twin).
     pub fn shard_capacities(&self) -> Vec<usize> {
@@ -192,7 +207,13 @@ impl<C: Cache> ShardedCache<C> {
 
 impl<C: Cache> Cache for ShardedCache<C> {
     fn access(&mut self, page: PageId) -> Access {
-        self.access_shared(page)
+        let record = *self.record_ledgers.get_mut();
+        let shard = self.shard_mut(self.shard_of(page));
+        let outcome = shard.cache.access(page);
+        if record {
+            shard.ledger.push((page, outcome));
+        }
+        outcome
     }
 
     fn access_if_fits(
@@ -201,7 +222,13 @@ impl<C: Cache> Cache for ShardedCache<C> {
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
-        self.access_if_fits_shared(page, remaining, miss_penalty)
+        let record = *self.record_ledgers.get_mut();
+        let shard = self.shard_mut(self.shard_of(page));
+        let outcome = shard.cache.access_if_fits(page, remaining, miss_penalty)?;
+        if record {
+            shard.ledger.push((page, outcome));
+        }
+        Some(outcome)
     }
 
     fn contains(&self, page: PageId) -> bool {
@@ -220,13 +247,13 @@ impl<C: Cache> Cache for ShardedCache<C> {
         let n = self.shards.len();
         for i in 0..n {
             let cap = shard_capacity(capacity, n, i);
-            self.shard(i).cache.resize(cap);
+            self.shard_mut(i).cache.resize(cap);
         }
     }
 
     fn clear(&mut self) {
         for i in 0..self.shards.len() {
-            self.shard(i).cache.clear();
+            self.shard_mut(i).cache.clear();
         }
     }
 }
@@ -238,6 +265,12 @@ impl<C: Cache + Checkpoint> Checkpoint for ShardedCache<C> {
     fn save(&self, w: &mut SnapWriter) {
         for i in 0..self.shards.len() {
             self.shard(i).cache.save(w);
+        }
+    }
+
+    fn save_mut(&mut self, w: &mut SnapWriter) {
+        for i in 0..self.shards.len() {
+            self.shard_mut(i).cache.save_mut(w);
         }
     }
 

@@ -368,11 +368,14 @@ impl Checkpoint for LruCache {
         // byte-identical to the pre-packed (HashMap-indexed) LRU's, which
         // is what keeps old checkpoints loadable and resume equivalence
         // intact across the rewrite.
+        // The list is walked in place: saving allocates nothing.
         w.put_usize(self.capacity);
-        let pages = self.pages_mru_first();
-        w.put_len(pages.len());
-        for p in pages {
-            w.put_page(p);
+        w.put_len(self.len);
+        let mut cur = self.head;
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
+            w.put_page(n.page);
+            cur = n.next;
         }
     }
 

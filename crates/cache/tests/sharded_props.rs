@@ -6,6 +6,9 @@
 //!   traces (the degeneracy the whole test story is anchored on);
 //! * with any shard count, driving the sharded cache equals driving each
 //!   shard's sequential twin with the routed subsequence;
+//! * the exclusive (`&mut`, lock-free) path and the shared (`&self`,
+//!   locking) path give identical outcomes, shard contents and ledgers on
+//!   the same stream;
 //! * the lock-free FIFO tracks the sequential FIFO op-for-op, snapshot
 //!   bytes included, so their blobs cross-load.
 
@@ -23,6 +26,12 @@ fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<Page
 fn snapshot_bytes<C: Checkpoint>(cache: &C) -> Vec<u8> {
     let mut w = SnapWriter::new();
     cache.save(&mut w);
+    w.into_bytes()
+}
+
+fn snapshot_bytes_mut<C: Checkpoint>(cache: &mut C) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    cache.save_mut(&mut w);
     w.into_bytes()
 }
 
@@ -111,6 +120,62 @@ proptest! {
             t.save(&mut w);
         }
         prop_assert_eq!(snapshot_bytes(&sharded), w.into_bytes());
+    }
+
+    /// The exclusive path (the `Cache` trait's `&mut` methods, which skip
+    /// the shard locks) and the shared path (`access_shared` /
+    /// `access_if_fits_shared`) are the same cache: on one stream of
+    /// accesses, fit-checked accesses, resizes and clears, with ledger
+    /// recording on, they return identical outcomes, hold identical shard
+    /// contents (`save` and `save_mut` alike) and record identical ledgers.
+    #[test]
+    fn exclusive_path_equals_shared_path(
+        ops in prop::collection::vec((0u64..40, 0u8..16, 0u64..48), 0..300),
+        cap in 0usize..24,
+        shards_exp in 0u32..4,
+    ) {
+        let n = 1usize << shards_exp;
+        let mut exclusive = ShardedCache::with_shards(cap, n);
+        let mut shared = ShardedCache::with_shards(cap, n);
+        exclusive.set_ledger_recording(true);
+        shared.set_ledger_recording(true);
+        let mut happened = 0usize;
+        for &(v, op, remaining) in &ops {
+            let page = PageId(v);
+            match op {
+                0 => {
+                    exclusive.resize(v as usize % 32);
+                    shared.resize(v as usize % 32);
+                }
+                1 => {
+                    exclusive.clear();
+                    shared.clear();
+                }
+                2..=7 => {
+                    prop_assert_eq!(exclusive.access(page), shared.access_shared(page));
+                    happened += 1;
+                }
+                _ => {
+                    let penalty = 1 + u64::from(op % 4);
+                    let outcome = exclusive.access_if_fits(page, remaining, penalty);
+                    prop_assert_eq!(
+                        outcome,
+                        shared.access_if_fits_shared(page, remaining, penalty)
+                    );
+                    happened += usize::from(outcome.is_some());
+                }
+            }
+        }
+        prop_assert_eq!(exclusive.len(), shared.len_shared());
+        prop_assert_eq!(exclusive.shard_capacities(), shared.shard_capacities());
+        let want = snapshot_bytes(&shared);
+        prop_assert_eq!(&snapshot_bytes(&exclusive), &want);
+        prop_assert_eq!(&snapshot_bytes_mut(&mut exclusive), &want);
+        prop_assert_eq!(&snapshot_bytes_mut(&mut shared), &want);
+        // Every access that happened is in the ledgers, on both paths.
+        let ledgers = exclusive.take_ledgers();
+        prop_assert_eq!(ledgers.iter().map(Vec::len).sum::<usize>(), happened);
+        prop_assert_eq!(ledgers, shared.take_ledgers());
     }
 
     /// The lock-free FIFO is a drop-in for the sequential FIFO on any

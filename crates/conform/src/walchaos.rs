@@ -226,13 +226,13 @@ impl SabotagedStore {
 }
 
 impl CheckpointStore for SabotagedStore {
-    fn install_base(&mut self, snapshot: Vec<u8>) {
+    fn install_base(&mut self, snapshot: &[u8]) {
         self.prev_base = self.base_shadow.take();
-        self.base_shadow = Some(snapshot.clone());
+        self.base_shadow = Some(snapshot.to_vec());
         self.inner.install_base(snapshot);
     }
 
-    fn append_record(&mut self, record: Vec<u8>) {
+    fn append_record(&mut self, record: &[u8]) {
         self.inner.append_record(record);
     }
 

@@ -1,16 +1,17 @@
 //! Property-based resume equivalence: crash-and-recover at an *arbitrary*
-//! tick must be invisible, the snapshot codec must round-trip exactly, and
-//! an incremental WAL delta applied to its base must reconstruct the full
-//! snapshot byte-for-byte.
+//! tick must be invisible, the snapshot codec must round-trip exactly, an
+//! incremental WAL delta applied to its base must reconstruct the full
+//! snapshot byte-for-byte, and the supervisor's direct checkpoint writers
+//! must produce exactly the reference encoders' bytes.
 
 use proptest::prelude::*;
 
-use parapage_cache::{LruCache, ShardedLru};
+use parapage_cache::{Cache, Checkpoint, LruCache, ShardedLru, SnapWriter};
 use parapage_conform::{boxed_policy, check_replay, check_resume, CONFORM_POLICIES};
 use parapage_core::ModelParams;
 use parapage_sched::{
     CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, NullSink, Supervisor, SupervisorOpts,
-    TraceRecorder,
+    TraceRecorder, WalCursor,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 
@@ -42,8 +43,133 @@ fn workload_for(
     build_workload(&specs, seed).into_seqs()
 }
 
+/// Steps two engines over the same run in lockstep — one checkpointed by
+/// the reference encoders (`snapshot().encode()`, `wal_delta().encode()`
+/// framed by `WalCursor::frame`), one by the direct writers the supervisor
+/// ships (`write_snapshot`, `write_wal_delta` appended by
+/// `WalCursor::append`) — and at every epoch boundary, and at the end,
+/// requires identical WAL record bytes, identical base bytes, and a fused
+/// chain seed equal to `WalCursor::at_base` over the reference base. Every
+/// `rebase_every` epochs both sides install that base and restart their
+/// chains, as the supervisor does. Returns the number of boundaries
+/// checked.
+#[allow(clippy::too_many_arguments)]
+fn direct_writers_match_reference<C: Cache + Checkpoint>(
+    policy: &str,
+    seqs: &[Vec<parapage_cache::PageId>],
+    params: &ModelParams,
+    opts: &EngineOpts,
+    plan: &FaultPlan,
+    seed: u64,
+    epoch_ticks: u64,
+    rebase_every: u64,
+    make_cache: impl Fn(usize) -> C,
+) -> Result<u64, TestCaseError> {
+    let mut ref_alloc = boxed_policy(policy, params, seed, true).unwrap();
+    let mut dir_alloc = boxed_policy(policy, params, seed, true).unwrap();
+    let mut reference = Engine::new(&mut *ref_alloc, seqs, params, opts, plan, &make_cache);
+    let mut direct = Engine::new(&mut *dir_alloc, seqs, params, opts, plan, &make_cache);
+    let mut ref_cursor: Option<WalCursor> = None;
+    let mut dir_cursor: Option<WalCursor> = None;
+    let mut w = SnapWriter::new();
+    let mut boundaries = 0u64;
+    let mut next = epoch_ticks;
+    loop {
+        let more_ref = reference
+            .step(&mut *ref_alloc, &mut NullSink)
+            .map_err(|e| TestCaseError::fail(format!("{policy}: engine errored: {e}")))?;
+        let more_dir = direct
+            .step(&mut *dir_alloc, &mut NullSink)
+            .map_err(|e| TestCaseError::fail(format!("{policy}: engine errored: {e}")))?;
+        prop_assert_eq!(more_ref, more_dir);
+        let ticks = reference.ticks();
+        prop_assert_eq!(ticks, direct.ticks());
+        if more_ref && ticks < next {
+            continue;
+        }
+        next = ticks - ticks % epoch_ticks + epoch_ticks;
+        boundaries += 1;
+
+        if let (Some(rc), Some(dc)) = (ref_cursor.as_mut(), dir_cursor.as_mut()) {
+            let payload = reference.wal_delta(&*ref_alloc).unwrap().encode();
+            let want = rc.frame(&payload);
+            w.clear();
+            dc.append(&mut w, |w| direct.write_wal_delta(&*dir_alloc, w))
+                .unwrap();
+            prop_assert_eq!(
+                w.bytes(),
+                &want[..],
+                "{}: wal record at tick {}",
+                policy,
+                ticks
+            );
+            prop_assert_eq!((dc.seq, dc.chain), (rc.seq, rc.chain));
+        }
+
+        let want = reference.snapshot(&*ref_alloc).unwrap().encode();
+        w.clear();
+        let cursor = direct.write_snapshot(&*dir_alloc, &mut w).unwrap();
+        prop_assert_eq!(w.bytes(), &want[..], "{}: base at tick {}", policy, ticks);
+        let at_base = WalCursor::at_base(&want);
+        prop_assert_eq!((cursor.seq, cursor.chain), (at_base.seq, at_base.chain));
+        if ref_cursor.is_none() || boundaries % rebase_every == 0 {
+            reference.reset_wal_mark();
+            direct.reset_wal_mark();
+            ref_cursor = Some(at_base);
+            dir_cursor = Some(cursor);
+        }
+        if !more_ref {
+            return Ok(boundaries);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The supervisor's direct checkpoint writers are byte-identical to the
+    /// reference encoders at every epoch boundary, for det-par, rand-par
+    /// and bb-green, with timelines on and off, under every fault
+    /// scenario, on `LruCache` and on `ShardedLru` with 1 and 4 shards.
+    #[test]
+    fn direct_writers_match_reference_encoders_at_every_epoch(
+        p in 1usize..5,
+        kexp in 1u32..4,
+        len in 1usize..120,
+        seed in 0u64..1_000_000,
+        // Folded (policy, cache, timelines, scenario) selector.
+        sel in 0usize..90,
+        // Folded (epoch_ticks in 1..24, rebase_every in 1..6).
+        cadence in 0u64..115,
+    ) {
+        let (epoch_ticks, rebase_every) = (1 + cadence % 23, 1 + cadence / 23);
+        let policy = ["det-par", "rand-par", "bb-green"][sel % 3];
+        let cache = (sel / 3) % 3;
+        let timelines = (sel / 9) % 2 == 1;
+        let scenario = parapage_workloads::FAULT_SCENARIOS[(sel / 18) % 5];
+        let k = p.next_power_of_two() << kexp;
+        let params = ModelParams::new(p, k, 6);
+        let seqs = workload_for(p, k, len, (sel % 4) as u32, seed);
+        let plan = FaultPlan::new(
+            fault_scenario(scenario, p, k, (len as u64 + 4) * 6 * 4, seed).unwrap(),
+        );
+        let opts = EngineOpts { record_timelines: timelines, ..EngineOpts::default() };
+        let boundaries = match cache {
+            0 => direct_writers_match_reference(
+                policy, &seqs, &params, &opts, &plan, seed, epoch_ticks, rebase_every,
+                |_| LruCache::new(0),
+            ),
+            1 => direct_writers_match_reference(
+                policy, &seqs, &params, &opts, &plan, seed, epoch_ticks, rebase_every,
+                |_| ShardedLru::with_shards(0, 1),
+            ),
+            _ => direct_writers_match_reference(
+                policy, &seqs, &params, &opts, &plan, seed, epoch_ticks, rebase_every,
+                |_| ShardedLru::with_shards(0, 4),
+            ),
+        }?;
+        prop_assert!(boundaries >= 1);
+    }
 
     /// For every policy, fault scenario, and a crash at a random tick of
     /// the run, the supervised crash-and-recover run reproduces the

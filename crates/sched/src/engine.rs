@@ -54,7 +54,10 @@ use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
 use crate::snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
-use crate::wal::WalDelta;
+use crate::wal::{
+    WalCursor, WalDelta, SEC_AUDIT, SEC_CACHES, SEC_POLICY, SEC_SCALARS, SEC_TIMELINES,
+    SEC_TRACE_HWM,
+};
 
 /// Default hard cap on simulated time.
 ///
@@ -289,6 +292,10 @@ pub struct Engine<'a, C: Cache> {
     batch: Vec<(u32, Option<Time>)>,
     batch_req: Vec<ProcId>,
     batch_grants: Vec<Grant>,
+    // Reusable scratch for the direct checkpoint writers: the pending
+    // releases and events, sorted into canonical order.
+    sorted_releases: Vec<(Time, usize)>,
+    sorted_heap: Vec<(Time, u8, u32)>,
 }
 
 impl<'a, C: Cache> Engine<'a, C> {
@@ -348,6 +355,8 @@ impl<'a, C: Cache> Engine<'a, C> {
             batch: Vec::new(),
             batch_req: Vec::new(),
             batch_grants: Vec::new(),
+            sorted_releases: Vec::new(),
+            sorted_heap: Vec::new(),
         }
     }
 
@@ -737,7 +746,9 @@ impl<'a, C: Cache> Engine<'a, C> {
 impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
     /// Captures the run's full dynamic state — engine counters, event heap,
     /// per-processor caches, and the policy's own checkpoint — at the
-    /// current event boundary.
+    /// current event boundary. `self.snapshot(alloc)?.encode()` is the
+    /// reference encoding that [`Engine::write_snapshot`], the
+    /// supervisor's checkpoint path, is tested against.
     ///
     /// # Errors
     /// [`SnapshotError::Codec`] when the policy (or a green pager inside
@@ -788,7 +799,9 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
 
     /// Captures everything that changed since the last checkpoint boundary
     /// as a [`WalDelta`] — the payload of one WAL record — and advances the
-    /// boundary to now.
+    /// boundary to now. `self.wal_delta(alloc)?.encode()` is the reference
+    /// encoding that [`Engine::write_wal_delta`], the supervisor's
+    /// checkpoint path, is tested against.
     ///
     /// The delta carries the engine's O(p) scalars, the suffixes of the
     /// grow-only audit/timeline traces, the cache blobs of only the caches
@@ -860,6 +873,175 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         Ok(delta)
     }
 
+    /// Writes the framed full snapshot straight from engine state into
+    /// `w` — the bytes of `self.snapshot(alloc)?.encode()`, without
+    /// building the [`EngineSnapshot`] or any per-cache blob — and returns
+    /// the [`WalCursor`] for a log written after it as a base (its chain
+    /// seed comes out of the same pass that computes the trailer digest).
+    ///
+    /// This is the supervisor's checkpoint path; [`Engine::snapshot`] and
+    /// [`EngineSnapshot::encode`] are the reference encoders it is tested
+    /// against. Caches are saved through [`Checkpoint::save_mut`], so a
+    /// sharded cache takes no locks.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Codec`] when the policy does not support
+    /// checkpointing; `w` then holds a partial blob to discard.
+    pub fn write_snapshot(
+        &mut self,
+        alloc: &dyn BoxAllocator,
+        w: &mut SnapWriter,
+    ) -> Result<WalCursor, SnapshotError> {
+        let frame = w.begin_framed();
+        w.put_u64(self.ticks);
+        w.put_u64(self.emitted);
+        w.put_u64(self.workload_digest);
+        self.write_progress(w);
+        if self.opts.record_timelines {
+            w.put_len(self.timelines.len());
+            for tl in &self.timelines {
+                write_intervals(w, tl);
+            }
+        } else {
+            w.put_len(0);
+        }
+        w.put_len(self.deltas.len());
+        for &(t, d) in self.deltas.iter() {
+            w.put_u64(t);
+            w.put_i64(d);
+        }
+        self.write_pending(w);
+        w.put_len(self.caches.len());
+        for cache in &mut self.caches {
+            let blob = w.begin_bytes();
+            cache.save_mut(w);
+            w.end_bytes(blob);
+        }
+        let blob = w.begin_bytes();
+        alloc.checkpoint(w)?;
+        w.end_bytes(blob);
+        Ok(WalCursor {
+            seq: 0,
+            chain: w.end_framed(frame),
+        })
+    }
+
+    /// Writes the WAL delta payload for everything changed since the last
+    /// checkpoint boundary straight into `w` — the bytes of
+    /// `self.wal_delta(alloc)?.encode()`, without building the
+    /// [`WalDelta`] or any per-cache blob — and advances the boundary to
+    /// now, exactly as [`Engine::wal_delta`] does.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Codec`] when the policy does not support
+    /// checkpointing; the mark is left untouched and `w` holds a partial
+    /// payload to discard.
+    pub fn write_wal_delta(
+        &mut self,
+        alloc: &dyn BoxAllocator,
+        w: &mut SnapWriter,
+    ) -> Result<(), SnapshotError> {
+        w.put_u8(SEC_SCALARS);
+        w.put_u64(self.ticks);
+        self.write_progress(w);
+        self.write_pending(w);
+
+        w.put_u8(SEC_AUDIT);
+        w.put_u64(self.ckpt_deltas_len as u64);
+        w.put_len(self.deltas.len() - self.ckpt_deltas_len);
+        for &(t, d) in self.deltas.iter_from(self.ckpt_deltas_len) {
+            w.put_u64(t);
+            w.put_i64(d);
+        }
+
+        w.put_u8(SEC_TIMELINES);
+        if self.opts.record_timelines {
+            w.put_len(self.timelines.len());
+            for (tl, &n) in self.timelines.iter().zip(&self.ckpt_timeline_lens) {
+                w.put_u64(n as u64);
+                write_intervals(w, &tl[n..]);
+            }
+        } else {
+            w.put_len(0);
+        }
+
+        w.put_u8(SEC_CACHES);
+        w.put_len(self.dirty_caches.iter().filter(|&&d| d).count());
+        for (x, (cache, &dirty)) in self.caches.iter_mut().zip(&self.dirty_caches).enumerate() {
+            if dirty {
+                w.put_u32(x as u32);
+                let blob = w.begin_bytes();
+                cache.save_mut(w);
+                w.end_bytes(blob);
+            }
+        }
+
+        w.put_u8(SEC_POLICY);
+        let blob = w.begin_bytes();
+        alloc.checkpoint(w)?;
+        w.end_bytes(blob);
+
+        w.put_u8(SEC_TRACE_HWM);
+        w.put_u64(self.emitted);
+        self.reset_wal_mark();
+        Ok(())
+    }
+
+    /// Per-processor cursors and the run's counters, in the order both
+    /// checkpoint formats share.
+    fn write_progress(&self, w: &mut SnapWriter) {
+        w.put_len(self.p);
+        for &v in &self.pos {
+            w.put_usize(v);
+        }
+        for &c in &self.completions {
+            w.put_u64(c);
+        }
+        for &f in &self.finished {
+            w.put_bool(f);
+        }
+        w.put_u64(self.stats.hits);
+        w.put_u64(self.stats.misses);
+        w.put_u128(self.memory_integral);
+        w.put_u64(self.grants_issued);
+    }
+
+    /// Live usage, pending releases and events (sorted, so equal states
+    /// write equal bytes), the memory limit and the fault-plan position,
+    /// in the order both checkpoint formats share.
+    fn write_pending(&mut self, w: &mut SnapWriter) {
+        w.put_usize(self.live_usage);
+        self.sorted_releases.clear();
+        self.sorted_releases
+            .extend(self.releases.iter().map(|&Reverse(e)| e));
+        self.sorted_releases.sort_unstable();
+        w.put_len(self.sorted_releases.len());
+        for &(t, h) in &self.sorted_releases {
+            w.put_u64(t);
+            w.put_usize(h);
+        }
+        match self.current_limit {
+            Some(l) => {
+                w.put_bool(true);
+                w.put_usize(l);
+            }
+            None => w.put_bool(false),
+        }
+        w.put_usize(self.fault_cursor.position());
+        w.put_u64(self.faults_injected);
+        self.sorted_heap.clear();
+        self.sorted_heap
+            .extend(self.heap.iter().map(|&Reverse(e)| e));
+        self.sorted_heap.sort_unstable();
+        w.put_len(self.sorted_heap.len());
+        for &(t, kind, proc) in &self.sorted_heap {
+            w.put_u64(t);
+            w.put_u8(kind);
+            w.put_u32(proc);
+        }
+        w.put_usize(self.remaining);
+    }
+
     /// Replaces this engine's dynamic state (and `alloc`'s, via
     /// `BoxAllocator::restore`) with a snapshot taken from an engine built
     /// on the same workload, parameters, and fault plan. After a successful
@@ -924,6 +1106,16 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         // The restored state *is* the new checkpoint boundary.
         self.reset_wal_mark();
         Ok(())
+    }
+}
+
+/// A timeline as a length-prefixed list of `(start, end, height)`.
+fn write_intervals(w: &mut SnapWriter, tl: &[Interval]) {
+    w.put_len(tl.len());
+    for iv in tl {
+        w.put_u64(iv.start);
+        w.put_u64(iv.end);
+        w.put_usize(iv.height);
     }
 }
 

@@ -10,7 +10,9 @@
 //!    O(changes) WAL delta record appended after the current base snapshot
 //!    (see [`crate::wal`]), with a fresh O(state) full snapshot installed
 //!    as a new base every [`SupervisorOpts::full_snapshot_every`] epochs —
-//!    or every epoch when [`SupervisorOpts::wal`] is off.
+//!    or every epoch when [`SupervisorOpts::wal`] is off. Both are written
+//!    straight from engine state into one buffer reused for the whole run
+//!    ([`Engine::write_wal_delta`], [`Engine::write_snapshot`]).
 //! 3. On a crash (panic) or watchdog expiry, discard the poisoned engine
 //!    and policy, wait out an exponential backoff, build a **fresh** policy
 //!    from the caller's factory, and recover from the store: decode the
@@ -37,10 +39,12 @@
 //! supervised run, however often the surrounding ticks replay), which is
 //! how the chaos harness exercises every recovery path without randomness.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use parapage_cache::{Cache, Checkpoint, PageId};
+use parapage_cache::{Cache, Checkpoint, PageId, SnapWriter};
 use parapage_core::{BoxAllocator, ModelParams};
 
 use crate::engine::{Engine, EngineOpts};
@@ -112,9 +116,10 @@ pub struct SupervisorOpts {
     pub backoff_cap: Duration,
     /// Per-attempt wall-clock deadline; expiry is treated as a crash.
     pub watchdog: Duration,
-    /// Suppress the default panic hook while injected crashes are caught
-    /// (they would otherwise spray backtraces over test output). Real
-    /// panics still propagate as crashes either way.
+    /// Suppress panic reports raised on the supervising thread while the
+    /// run catches them (injected crashes would otherwise spray
+    /// backtraces over test output). Panics on other threads are still
+    /// reported, and caught panics still count as crashes either way.
     pub silence_panics: bool,
     /// Checkpoint incrementally: append an O(changes) WAL delta record at
     /// each epoch boundary instead of encoding the full O(state) snapshot
@@ -309,25 +314,50 @@ impl<S: TraceSink> TraceSink for GatedSink<'_, S> {
     }
 }
 
-/// Restores the previous panic hook on drop (see
+thread_local! {
+    /// Silencing supervised runs currently active on this thread.
+    static SILENCED_RUNS: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Installs the process-wide silencing panic hook, once.
+static SILENCING_HOOK: Once = Once::new();
+
+/// Silences panic reports raised on this thread while it lives (see
 /// [`SupervisorOpts::silence_panics`]).
-struct HookGuard {
+///
+/// The panic hook is process-global, so it is installed only once: a hook
+/// that wraps whatever hook was current at that moment and forwards every
+/// panic to it unless the panicking thread is inside a silencing
+/// supervised run. A guard only moves this thread's run depth. Overlapping
+/// runs on other threads therefore never swap the hook under each other,
+/// and a panic outside any silencing run is always reported.
+struct SilenceGuard {
     active: bool,
 }
 
-impl HookGuard {
-    fn install(silence: bool) -> Self {
+impl SilenceGuard {
+    fn enter(silence: bool) -> Self {
         if silence {
-            std::panic::set_hook(Box::new(|_| {}));
+            SILENCING_HOOK.call_once(|| {
+                let previous = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    // A thread tearing down its locals is not inside a run.
+                    let depth = SILENCED_RUNS.try_with(Cell::get).unwrap_or(0);
+                    if depth == 0 {
+                        previous(info);
+                    }
+                }));
+            });
+            SILENCED_RUNS.with(|d| d.set(d.get() + 1));
         }
-        HookGuard { active: silence }
+        SilenceGuard { active: silence }
     }
 }
 
-impl Drop for HookGuard {
+impl Drop for SilenceGuard {
     fn drop(&mut self) {
         if self.active {
-            let _ = std::panic::take_hook();
+            SILENCED_RUNS.with(|d| d.set(d.get() - 1));
         }
     }
 }
@@ -454,8 +484,11 @@ impl Supervisor {
         store: &mut dyn CheckpointStore,
         mut control: impl FnMut(EpochStatus) -> EpochControl,
     ) -> Result<RecoveryReport, SupervisorError> {
-        let _hook = HookGuard::install(self.opts.silence_panics);
+        let _silence = SilenceGuard::enter(self.opts.silence_panics);
         let mut gate = GatedSink::new(sink);
+        // Every checkpoint of the run is written straight from engine
+        // state into this one buffer, then handed to the store.
+        let mut ckpt = SnapWriter::new();
         let mut fired = vec![false; crash_plan.ticks().len()];
         let mut crashes = 0u32;
         let mut resumes = 0u32;
@@ -563,24 +596,22 @@ impl Supervisor {
                         let incremental = self.opts.wal
                             && cursor.is_some()
                             && epochs_since_base < self.opts.full_snapshot_every;
+                        ckpt.clear();
                         if incremental {
-                            let delta = engine.wal_delta(&*alloc)?;
-                            let record = cursor
+                            cursor
                                 .as_mut()
                                 .expect("incremental implies a base is installed")
-                                .frame(&delta.encode());
-                            checkpoint_bytes += record.len() as u64;
-                            store.append_record(record);
+                                .append(&mut ckpt, |w| engine.write_wal_delta(&*alloc, w))?;
+                            store.append_record(ckpt.bytes());
                             wal_records += 1;
                             epochs_since_base += 1;
                         } else {
-                            let bytes = engine.snapshot(&*alloc)?.encode();
-                            checkpoint_bytes += bytes.len() as u64;
-                            cursor = Some(WalCursor::at_base(&bytes));
-                            store.install_base(bytes);
+                            cursor = Some(engine.write_snapshot(&*alloc, &mut ckpt)?);
+                            store.install_base(ckpt.bytes());
                             engine.reset_wal_mark();
                             epochs_since_base = 0;
                         }
+                        checkpoint_bytes += ckpt.len() as u64;
                         // The checkpoint for this epoch is durable; let the
                         // controller migrate onto a fresh engine restored
                         // from it. Not a crash: no retry burned, no resume

@@ -56,13 +56,14 @@ use parapage_core::Interval;
 
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 
-/// Section tags of a [`WalDelta`] payload, in canonical order.
-const SEC_SCALARS: u8 = 1;
-const SEC_AUDIT: u8 = 2;
-const SEC_TIMELINES: u8 = 3;
-const SEC_CACHES: u8 = 4;
-const SEC_POLICY: u8 = 5;
-const SEC_TRACE_HWM: u8 = 6;
+/// Section tags of a [`WalDelta`] payload, in canonical order (shared
+/// with the direct writer, `Engine::write_wal_delta`).
+pub(crate) const SEC_SCALARS: u8 = 1;
+pub(crate) const SEC_AUDIT: u8 = 2;
+pub(crate) const SEC_TIMELINES: u8 = 3;
+pub(crate) const SEC_CACHES: u8 = 4;
+pub(crate) const SEC_POLICY: u8 = 5;
+pub(crate) const SEC_TRACE_HWM: u8 = 6;
 
 /// One epoch's worth of engine-state change: everything needed to advance
 /// an [`EngineSnapshot`] from the previous epoch boundary to this one.
@@ -433,6 +434,23 @@ impl WalCursor {
         self.chain = digest;
         bytes
     }
+
+    /// Appends the next record to `w` with its payload written in place by
+    /// `payload`, and advances the cursor — the bytes of
+    /// [`WalCursor::frame`] over the same payload, with no intermediate
+    /// buffer. On error the cursor stays put and `w` holds a partial
+    /// record to discard.
+    pub fn append<E>(
+        &mut self,
+        w: &mut SnapWriter,
+        payload: impl FnOnce(&mut SnapWriter) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mark = w.begin_wal_record(self.seq);
+        payload(w)?;
+        self.chain = w.end_wal_record(mark, self.chain);
+        self.seq += 1;
+        Ok(())
+    }
 }
 
 /// Where and why a recovery scan stopped short of the log's end.
@@ -550,11 +568,13 @@ pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
 /// persist checkpoints without touching the supervisor.
 pub trait CheckpointStore {
     /// Replaces the base snapshot with `snapshot` (encoded) and clears the
-    /// log: subsequent records extend the new base.
-    fn install_base(&mut self, snapshot: Vec<u8>);
+    /// log: subsequent records extend the new base. The bytes are
+    /// borrowed: the supervisor writes every checkpoint into one reused
+    /// buffer, and the store copies what it keeps.
+    fn install_base(&mut self, snapshot: &[u8]);
 
     /// Appends one framed WAL record after the current base.
-    fn append_record(&mut self, record: Vec<u8>);
+    fn append_record(&mut self, record: &[u8]);
 
     /// The `(base, log)` pair recovery reads, or `None` before the first
     /// [`CheckpointStore::install_base`]. Takes `&mut self` so corrupting
@@ -582,13 +602,15 @@ impl MemStore {
 }
 
 impl CheckpointStore for MemStore {
-    fn install_base(&mut self, snapshot: Vec<u8>) {
-        self.base = Some(snapshot);
+    fn install_base(&mut self, snapshot: &[u8]) {
+        let base = self.base.get_or_insert_with(Vec::new);
+        base.clear();
+        base.extend_from_slice(snapshot);
         self.log.clear();
     }
 
-    fn append_record(&mut self, record: Vec<u8>) {
-        self.log.extend_from_slice(&record);
+    fn append_record(&mut self, record: &[u8]) {
+        self.log.extend_from_slice(record);
     }
 
     fn view(&mut self) -> Option<(&[u8], &[u8])> {
@@ -816,11 +838,11 @@ mod tests {
     fn mem_store_clears_log_on_new_base() {
         let mut store = MemStore::new();
         assert!(store.view().is_none());
-        store.install_base(vec![1, 2, 3]);
-        store.append_record(vec![4, 5]);
+        store.install_base(&[1, 2, 3]);
+        store.append_record(&[4, 5]);
         assert_eq!(store.view(), Some((&[1u8, 2, 3][..], &[4u8, 5][..])));
         assert_eq!(store.log_len(), 2);
-        store.install_base(vec![9]);
+        store.install_base(&[9]);
         assert_eq!(store.view(), Some((&[9u8][..], &[][..])));
     }
 }

@@ -46,4 +46,10 @@ echo "==> parapage drive --fault (recovery smoke: severed connections absorbed)"
 cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
   --batches 2 --fault cut-send --expect-clean
 
+echo "==> loopbench self-tests"
+cargo test --release --offline --manifest-path loopbench/Cargo.toml
+
+echo "==> loopbench correctness smoke (every reply checked, seed-42 reply chains pinned)"
+python3 loopbench/run.py --workload all --seed 42 --seconds 7 --trace 0
+
 echo "All checks passed."
