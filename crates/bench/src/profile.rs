@@ -114,7 +114,7 @@ impl<A: BoxAllocator> BoxAllocator for TimingAlloc<A> {
 }
 
 /// A [`Cache`] shim charging every cache operation to a shared bucket.
-/// Cheap read-only queries (`contains`, `len`, `capacity`) are forwarded
+/// Cheap read-only queries (`contains`, `len`, `len_mut`, `capacity`) are forwarded
 /// untimed: the `Instant` pair would cost more than the query and the
 /// window loop's per-request lookups already flow through
 /// [`Cache::access_if_fits`].
@@ -147,6 +147,10 @@ impl<C: Cache> Cache for TimingCache<C> {
 
     fn len(&self) -> usize {
         self.inner.len()
+    }
+
+    fn len_mut(&mut self) -> usize {
+        self.inner.len_mut()
     }
 
     fn capacity(&self) -> usize {

@@ -77,7 +77,7 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// The FNV-1a 64-bit offset basis (the state of an empty hash).
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
@@ -109,8 +109,9 @@ pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
 /// The two multiply chains are independent, so the pair costs about as
 /// much as one hash. Framing a base snapshot needs both: the payload digest
 /// for the `ppsn` trailer and the whole-blob digest that seeds the WAL
-/// chain (see [`SnapWriter::end_framed`]).
-fn fnv1a64_pair(seeds: (u64, u64), bytes: &[u8]) -> (u64, u64) {
+/// chain (see [`SnapWriter::end_framed`]). A served request batch needs
+/// both too: its wire frame digest and its workload fingerprint.
+pub fn fnv1a64_pair(seeds: (u64, u64), bytes: &[u8]) -> (u64, u64) {
     let (mut a, mut b) = seeds;
     for &byte in bytes {
         a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
@@ -142,9 +143,9 @@ pub fn frame_wal_record(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) 
     let mut w = SnapWriter {
         buf: Vec::with_capacity(WAL_RECORD_HEADER + payload.len() + 8),
     };
-    let mark = w.begin_wal_record(seq);
+    let mark = w.begin_record(WAL_RECORD_MAGIC, seq);
     w.buf.extend_from_slice(payload);
-    let digest = w.end_wal_record(mark, chain);
+    let digest = w.end_record(mark, chain);
     (w.buf, digest)
 }
 
@@ -233,10 +234,10 @@ pub struct BytesMark(usize);
 #[must_use = "an open blob must be closed with `SnapWriter::end_framed`"]
 pub struct FramedMark(usize);
 
-/// An open WAL record (see [`SnapWriter::begin_wal_record`]).
+/// An open record (see [`SnapWriter::begin_record`]).
 #[derive(Debug)]
-#[must_use = "an open record must be closed with `SnapWriter::end_wal_record`"]
-pub struct WalRecordMark(usize);
+#[must_use = "an open record must be closed with `SnapWriter::end_record`"]
+pub struct RecordMark(usize);
 
 impl SnapWriter {
     /// An empty writer.
@@ -257,6 +258,11 @@ impl SnapWriter {
     /// `true` when nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Bytes the writer can hold before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Discards everything written, keeping the allocation for reuse.
@@ -320,28 +326,31 @@ impl SnapWriter {
         fnv1a64_seeded(whole, &trailer)
     }
 
-    /// Opens WAL record `seq`: writes the magic, the sequence number and a
-    /// placeholder payload length. Everything written until
-    /// [`SnapWriter::end_wal_record`] is the record's payload, so the
-    /// result equals [`frame_wal_record`] of that payload.
-    pub fn begin_wal_record(&mut self, seq: u64) -> WalRecordMark {
+    /// Opens a chained record `seq` under `magic`: writes the magic, the
+    /// sequence number and a placeholder payload length. Everything
+    /// written until [`SnapWriter::end_record`] is the record's payload, so
+    /// under [`WAL_RECORD_MAGIC`] the result equals [`frame_wal_record`] of
+    /// that payload. WAL records and `parapage serve` wire frames share
+    /// this layout and differ only in their magic.
+    pub fn begin_record(&mut self, magic: [u8; 4], seq: u64) -> RecordMark {
         let at = self.buf.len();
-        self.buf.extend_from_slice(&WAL_RECORD_MAGIC);
+        self.buf.extend_from_slice(&magic);
         self.put_u64(seq);
         self.put_u32(0);
-        WalRecordMark(at)
+        RecordMark(at)
     }
 
-    /// Closes a record opened by [`SnapWriter::begin_wal_record`]:
-    /// backpatches the payload length, appends the digest chained from
-    /// `chain`, and returns that digest (the next record's chain seed).
+    /// Closes a record opened by [`SnapWriter::begin_record`]: backpatches
+    /// the payload length, appends the digest chained from `chain` over
+    /// `seq ‖ payload_len ‖ payload`, and returns that digest (the next
+    /// record's chain seed).
     ///
     /// # Panics
     /// When the payload exceeds `u32::MAX` bytes.
-    pub fn end_wal_record(&mut self, mark: WalRecordMark, chain: u64) -> u64 {
+    pub fn end_record(&mut self, mark: RecordMark, chain: u64) -> u64 {
         let at = mark.0;
         let len = self.buf.len() - at - WAL_RECORD_HEADER;
-        let len = u32::try_from(len).expect("WAL record payload exceeds u32");
+        let len = u32::try_from(len).expect("record payload exceeds u32");
         self.buf[at + 12..at + 16].copy_from_slice(&len.to_le_bytes());
         let digest = fnv1a64_seeded(chain, &self.buf[at + 4..]);
         self.buf.extend_from_slice(&digest.to_le_bytes());
@@ -434,7 +443,8 @@ impl<'a> SnapReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Reads the next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
         }
@@ -761,9 +771,9 @@ mod tests {
         let mut w = SnapWriter::new();
         w.put_bytes(b"earlier record"); // records append after one another
         let before = w.len();
-        let mark = w.begin_wal_record(9);
+        let mark = w.begin_record(WAL_RECORD_MAGIC, 9);
         w.put_u32(0xabcd);
-        let digest = w.end_wal_record(mark, chain);
+        let digest = w.end_record(mark, chain);
 
         let mut want = Vec::new();
         want.extend_from_slice(b"ppwr");

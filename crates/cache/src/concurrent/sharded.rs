@@ -25,7 +25,7 @@
 //! Two access paths share the shards. The `*_shared` methods take `&self`:
 //! they lock the shard, announce a [`yield_point`] for the schedule
 //! explorer, and serve concurrent callers. The `&mut self` [`Cache`]
-//! methods (`access`, `access_if_fits`, `resize`, `clear`) and
+//! methods (`access`, `access_if_fits`, `len_mut`, `resize`, `clear`) and
 //! [`Checkpoint::save_mut`] reach each shard through [`Mutex::get_mut`]:
 //! `&mut` already proves no other thread holds the cache, so they take no
 //! lock, announce no yield point, and read the ledger switch without an
@@ -237,6 +237,12 @@ impl<C: Cache> Cache for ShardedCache<C> {
 
     fn len(&self) -> usize {
         self.len_shared()
+    }
+
+    fn len_mut(&mut self) -> usize {
+        (0..self.shards.len())
+            .map(|i| self.shard_mut(i).cache.len())
+            .sum()
     }
 
     fn capacity(&self) -> usize {

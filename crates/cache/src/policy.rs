@@ -75,6 +75,13 @@ pub trait Cache {
     /// Number of resident pages.
     fn len(&self) -> usize;
 
+    /// [`Cache::len`] through exclusive access: the same count, but a
+    /// cache that guards its state with locks may skip them, because
+    /// `&mut self` already proves no one else holds it.
+    fn len_mut(&mut self) -> usize {
+        self.len()
+    }
+
     /// `true` when no pages are resident.
     fn is_empty(&self) -> bool {
         self.len() == 0

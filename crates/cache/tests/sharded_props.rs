@@ -7,8 +7,8 @@
 //! * with any shard count, driving the sharded cache equals driving each
 //!   shard's sequential twin with the routed subsequence;
 //! * the exclusive (`&mut`, lock-free) path and the shared (`&self`,
-//!   locking) path give identical outcomes, shard contents and ledgers on
-//!   the same stream;
+//!   locking) path give identical outcomes, resident counts, shard
+//!   contents and ledgers on the same stream;
 //! * the lock-free FIFO tracks the sequential FIFO op-for-op, snapshot
 //!   bytes included, so their blobs cross-load.
 
@@ -126,8 +126,10 @@ proptest! {
     /// the shard locks) and the shared path (`access_shared` /
     /// `access_if_fits_shared`) are the same cache: on one stream of
     /// accesses, fit-checked accesses, resizes and clears, with ledger
-    /// recording on, they return identical outcomes, hold identical shard
-    /// contents (`save` and `save_mut` alike) and record identical ledgers.
+    /// recording on, they return identical outcomes, report identical
+    /// resident counts (`len_mut` and `len_shared`) after every operation,
+    /// hold identical shard contents (`save` and `save_mut` alike) and
+    /// record identical ledgers.
     #[test]
     fn exclusive_path_equals_shared_path(
         ops in prop::collection::vec((0u64..40, 0u8..16, 0u64..48), 0..300),
@@ -165,6 +167,10 @@ proptest! {
                     happened += usize::from(outcome.is_some());
                 }
             }
+            // The lock-free count the engine's grant path reads agrees
+            // with the locking one after every operation.
+            prop_assert_eq!(exclusive.len_mut(), shared.len_shared());
+            prop_assert_eq!(shared.len_mut(), exclusive.len());
         }
         prop_assert_eq!(exclusive.len(), shared.len_shared());
         prop_assert_eq!(exclusive.shard_capacities(), shared.shard_capacities());

@@ -4,7 +4,8 @@
 //! checkpoint, server, concurrent, and single-thread `ops/*` hot paths,
 //! each once under `threads(1)` and once at the requested width — and
 //! emits `BENCH_5.json` (wall time, runs/sec, speedup vs the sequential
-//! leg, per-entry determinism verdicts).
+//! leg, per-entry determinism verdicts) to the file named by `--out`.
+//! Without `--out` the report is printed and no file is written.
 //!
 //! Exit is non-zero when:
 //!
@@ -20,7 +21,8 @@
 //!
 //! `--profile` additionally runs one instrumented det-par engine run plus
 //! a pool grid and writes the coarse per-phase timer breakdown (alloc /
-//! policy / cache / pool / other) as `<out>.profile.json`.
+//! policy / cache / pool / other), also written as `<out>.profile.json`
+//! when `--out` is given.
 
 use parapage_bench::profile::profile_run;
 use parapage_bench::suite::{parse_baseline, run_suite, BASELINE_IMPROVEMENT_GATE, SPEEDUP_GATE};
@@ -39,9 +41,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let baseline_path = args.opt("baseline");
     let seed: u64 = args.get("seed", 42)?;
     let threads: usize = args.get("threads", pool::current_threads())?;
-    let out = args
-        .opt("out")
-        .unwrap_or_else(|| format!("{BENCH_ID}.json"));
+    let out = args.opt("out");
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }
@@ -137,21 +137,21 @@ pub fn exec(args: &Args) -> Result<(), String> {
         None => None,
     };
 
-    let json = report.to_json_with(BENCH_ID, comparison.as_ref());
-    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "aggregate speedup (sweep entries): {:.2}x — wrote {out}",
+        "aggregate speedup (sweep entries): {:.2}x",
         report.aggregate_speedup()
     );
+    if let Some(out) = &out {
+        let json = report.to_json_with(BENCH_ID, comparison.as_ref());
+        std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
+        println!("wrote {out}");
+    }
 
     if profile {
         let prof = profile_run(quick, seed);
-        let prof_out = format!("{}.profile.json", out.trim_end_matches(".json"));
-        std::fs::write(&prof_out, prof.to_json(quick, seed))
-            .map_err(|e| format!("writing {prof_out}: {e}"))?;
         println!(
             "phase profile ({} engine events): alloc {:.1}ms, policy {:.1}ms, cache {:.1}ms, \
-             pool {:.1}ms, other {:.1}ms — wrote {prof_out}",
+             pool {:.1}ms, other {:.1}ms",
             prof.engine_events,
             prof.alloc_secs * 1e3,
             prof.policy_secs * 1e3,
@@ -159,6 +159,12 @@ pub fn exec(args: &Args) -> Result<(), String> {
             prof.pool_secs * 1e3,
             prof.other_secs * 1e3,
         );
+        if let Some(out) = &out {
+            let prof_out = format!("{}.profile.json", out.trim_end_matches(".json"));
+            std::fs::write(&prof_out, prof.to_json(quick, seed))
+                .map_err(|e| format!("writing {prof_out}: {e}"))?;
+            println!("wrote {prof_out}");
+        }
     }
 
     if !report.deterministic() {

@@ -36,7 +36,8 @@ COMMANDS:
                  --p N --k N [--slack F] (exits non-zero on violation)
   bench        perf-trajectory benchmark gate: run the fixed suite of
                  engine/sweep hot paths under threads(1) and threads(N),
-                 check byte-identical results, and write BENCH_4.json:
+                 check byte-identical results, and print the report
+                 (written as BENCH_5-format JSON only with --out FILE):
                  [--quick] [--threads N] [--seed N] [--out FILE]
                  (exits non-zero on a determinism violation, or on a
                  multi-core full run whose speedup misses the 1.5x gate)
@@ -103,5 +104,6 @@ COMMANDS:
                  retries must absorb; --expect-clean exits non-zero on
                  any unrecovered error or tenant restart — the CI
                  serve-smoke gate)
-  help         this text
+  help         this text (also `--help` or `-h` after any command, which
+                 prints it and runs nothing)
 ";

@@ -24,6 +24,32 @@ fn help_prints_usage() {
     assert!(stdout.contains("adversarial"));
 }
 
+/// `--help` after a command prints usage and runs nothing: `bench --help`
+/// once ran the full suite and wrote its JSON report before rejecting the
+/// flag.
+#[test]
+fn help_after_a_command_runs_nothing() {
+    let dir = std::env::temp_dir().join(format!("parapage_cli_help_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let exe = env!("CARGO_BIN_EXE_parapage");
+    for args in [
+        &["bench", "--help"][..],
+        &["bench", "-h"],
+        &["bench", "--quick", "--help"],
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn parapage");
+        assert!(out.status.success(), "{args:?} exited {:?}", out.status);
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn no_args_fails_with_usage() {
     let (ok, _, stderr) = parapage(&[]);

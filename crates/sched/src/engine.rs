@@ -52,7 +52,7 @@ use crate::arena::ChunkVec;
 use crate::error::EngineError;
 use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
-use crate::snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError};
+use crate::snapshot::{EngineSnapshot, SnapshotError, WorkloadRef};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::wal::{
     WalCursor, WalDelta, SEC_AUDIT, SEC_CACHES, SEC_POLICY, SEC_SCALARS, SEC_TIMELINES,
@@ -302,14 +302,20 @@ impl<'a, C: Cache> Engine<'a, C> {
     /// Builds the engine and seeds the event heap (empty sequences complete
     /// immediately, notifying the policy at time 0, exactly as the one-shot
     /// entry points always did).
+    ///
+    /// `workload` is the sequences plus their fingerprint: borrowed
+    /// sequences convert by hashing, and a [`WorkloadRef`] built once is
+    /// reused as-is, so rebuilding an engine never re-hashes the workload.
     pub fn new(
         alloc: &mut dyn BoxAllocator,
-        seqs: &'a [Vec<PageId>],
+        workload: impl Into<WorkloadRef<'a>>,
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &'a FaultPlan,
         cache_factory: impl FnMut(usize) -> C,
     ) -> Self {
+        let workload = workload.into();
+        let seqs = workload.seqs();
         let mut factory = cache_factory;
         assert_eq!(seqs.len(), params.p, "one sequence per processor");
         let p = params.p;
@@ -330,7 +336,7 @@ impl<'a, C: Cache> Engine<'a, C> {
             p,
             s: params.s,
             opts: *opts,
-            workload_digest: workload_fingerprint(seqs),
+            workload_digest: workload.fingerprint(),
             pos: vec![0usize; p],
             caches: (0..p).map(&mut factory).collect(),
             completions: vec![0u64; p],
@@ -592,16 +598,18 @@ impl<'a, C: Cache> Engine<'a, C> {
         // and the served window below), so this flag alone decides whether
         // the next WAL delta must re-ship processor `x`'s cache blob.
         self.dirty_caches[x] = true;
+        // Resident counts go through `len_mut`: the engine owns its caches,
+        // so a sharded cache can count without locking its shards.
         let cache = &mut self.caches[x];
-        let resident_before = cache.len();
+        let resident_before = cache.len_mut();
         if self.opts.compartmentalized {
             cache.clear();
         }
         cache.resize(grant.height);
+        let resident_at_start = cache.len_mut();
         // Pages forced out at the box boundary itself (shrink truncation,
         // or the full flush under compartmentalized semantics).
-        let boundary_evictions = (resident_before - cache.len()) as u64;
-        let resident_at_start = cache.len();
+        let boundary_evictions = (resident_before - resident_at_start) as u64;
 
         let out = if grant.height == 0 {
             // Stall: no progress; the cache (already truncated to zero)
@@ -647,7 +655,7 @@ impl<'a, C: Cache> Engine<'a, C> {
         let window_evictions = if grant.height == 0 {
             0
         } else {
-            out.stats.misses - (self.caches[x].len() - resident_at_start) as u64
+            out.stats.misses - (self.caches[x].len_mut() - resident_at_start) as u64
         };
         self.emit(
             sink,

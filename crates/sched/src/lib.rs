@@ -64,7 +64,7 @@ pub use fault::FaultPlan;
 pub use interleaved::{run_interleaved_partition, run_interleaved_shared, InterleavedResult};
 pub use metrics::RunResult;
 pub use shared::{run_shared_lru, run_shared_lru_bandwidth};
-pub use snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError};
+pub use snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError, WorkloadRef};
 pub use supervisor::{
     capped_backoff, jittered_backoff, CrashPlan, EpochControl, EpochStatus, RecoveryReport,
     Supervisor, SupervisorError, SupervisorOpts,

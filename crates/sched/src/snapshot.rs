@@ -51,6 +51,64 @@ pub fn workload_fingerprint(seqs: &[Vec<PageId>]) -> u64 {
     h
 }
 
+/// A workload borrowed together with its [`workload_fingerprint`].
+///
+/// The fingerprint is data that travels with the sequences: an engine
+/// built from a `WorkloadRef` stores it instead of hashing the sequences
+/// again, and a supervisor hands the same value to every attempt it
+/// builds. [`WorkloadRef::new`] (and every `From` conversion from borrowed
+/// sequences) hashes them; [`WorkloadRef::with_fingerprint`] accepts a
+/// value computed elsewhere, such as the wire reader's fused pass over a
+/// `Batch` frame.
+#[derive(Clone, Copy, Debug)]
+pub struct WorkloadRef<'a> {
+    seqs: &'a [Vec<PageId>],
+    fingerprint: u64,
+}
+
+impl<'a> WorkloadRef<'a> {
+    /// Borrows `seqs` and hashes them.
+    pub fn new(seqs: &'a [Vec<PageId>]) -> Self {
+        WorkloadRef {
+            seqs,
+            fingerprint: workload_fingerprint(seqs),
+        }
+    }
+
+    /// Borrows `seqs` with a fingerprint the caller already computed.
+    /// Debug builds check it against [`workload_fingerprint`].
+    pub fn with_fingerprint(seqs: &'a [Vec<PageId>], fingerprint: u64) -> Self {
+        debug_assert_eq!(
+            fingerprint,
+            workload_fingerprint(seqs),
+            "handed-in workload fingerprint differs from the sequences' own"
+        );
+        WorkloadRef { seqs, fingerprint }
+    }
+
+    /// One request sequence per processor.
+    pub fn seqs(&self) -> &'a [Vec<PageId>] {
+        self.seqs
+    }
+
+    /// [`workload_fingerprint`] of [`WorkloadRef::seqs`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+impl<'a> From<&'a [Vec<PageId>]> for WorkloadRef<'a> {
+    fn from(seqs: &'a [Vec<PageId>]) -> Self {
+        WorkloadRef::new(seqs)
+    }
+}
+
+impl<'a> From<&'a Vec<Vec<PageId>>> for WorkloadRef<'a> {
+    fn from(seqs: &'a Vec<Vec<PageId>>) -> Self {
+        WorkloadRef::new(seqs)
+    }
+}
+
 /// Why a snapshot could not be taken, encoded, decoded, or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -404,5 +462,27 @@ mod tests {
         assert_ne!(workload_fingerprint(&a), workload_fingerprint(&b));
         assert_ne!(workload_fingerprint(&a), workload_fingerprint(&c));
         assert_eq!(workload_fingerprint(&a), workload_fingerprint(&a.clone()));
+    }
+
+    #[test]
+    fn workload_ref_carries_the_fingerprint() {
+        let seqs = vec![vec![PageId(1), PageId(2)], vec![], vec![PageId(3)]];
+        let want = workload_fingerprint(&seqs);
+        let hashed = WorkloadRef::from(&seqs);
+        assert_eq!(hashed.fingerprint(), want);
+        assert_eq!(hashed.seqs(), &seqs[..]);
+        assert_eq!(WorkloadRef::from(&seqs[..]).fingerprint(), want);
+        assert_eq!(
+            WorkloadRef::with_fingerprint(&seqs, want).fingerprint(),
+            want
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "handed-in workload fingerprint")]
+    fn a_wrong_handed_in_fingerprint_fails_debug_builds() {
+        let seqs = vec![vec![PageId(1)]];
+        let _ = WorkloadRef::with_fingerprint(&seqs, workload_fingerprint(&seqs) ^ 1);
     }
 }

@@ -44,14 +44,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use parapage_cache::{Cache, Checkpoint, PageId, SnapWriter};
+use parapage_cache::{Cache, Checkpoint, SnapWriter};
 use parapage_core::{BoxAllocator, ModelParams};
 
 use crate::engine::{Engine, EngineOpts};
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{SnapshotError, WorkloadRef};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::wal::{recover, CheckpointStore, MemStore, WalCursor};
 
@@ -402,9 +402,9 @@ impl Supervisor {
     /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
     /// have been burned.
     #[allow(clippy::too_many_arguments)]
-    pub fn run<C: Cache + Checkpoint>(
+    pub fn run<'w, C: Cache + Checkpoint>(
         &self,
-        seqs: &[Vec<PageId>],
+        workload: impl Into<WorkloadRef<'w>>,
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &FaultPlan,
@@ -415,7 +415,7 @@ impl Supervisor {
     ) -> Result<RecoveryReport, SupervisorError> {
         let mut store = MemStore::new();
         self.run_with_store(
-            seqs,
+            workload,
             params,
             opts,
             faults,
@@ -434,9 +434,9 @@ impl Supervisor {
     /// A store holding a checkpoint from a previous run of the *same*
     /// workload resumes it instead of starting over.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_with_store<C: Cache + Checkpoint>(
+    pub fn run_with_store<'w, C: Cache + Checkpoint>(
         &self,
-        seqs: &[Vec<PageId>],
+        workload: impl Into<WorkloadRef<'w>>,
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &FaultPlan,
@@ -447,7 +447,7 @@ impl Supervisor {
         store: &mut dyn CheckpointStore,
     ) -> Result<RecoveryReport, SupervisorError> {
         self.run_controlled(
-            seqs,
+            workload,
             params,
             opts,
             faults,
@@ -471,9 +471,9 @@ impl Supervisor {
     /// engine mid-run; recovery determinism keeps the migrated run's result
     /// and trace byte-identical to an unmigrated one.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_controlled<C: Cache + Checkpoint>(
+    pub fn run_controlled<'w, C: Cache + Checkpoint>(
         &self,
-        seqs: &[Vec<PageId>],
+        workload: impl Into<WorkloadRef<'w>>,
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &FaultPlan,
@@ -485,6 +485,9 @@ impl Supervisor {
         mut control: impl FnMut(EpochStatus) -> EpochControl,
     ) -> Result<RecoveryReport, SupervisorError> {
         let _silence = SilenceGuard::enter(self.opts.silence_panics);
+        // Hashed (or handed in) once per run: every attempt's engine reuses
+        // this fingerprint instead of re-hashing the sequences.
+        let workload = workload.into();
         let mut gate = GatedSink::new(sink);
         // Every checkpoint of the run is written straight from engine
         // state into this one buffer, then handed to the store.
@@ -504,8 +507,14 @@ impl Supervisor {
 
         'attempt: loop {
             let mut alloc = policy_factory();
-            let mut engine =
-                Engine::new(&mut *alloc, seqs, params, opts, faults, &mut cache_factory);
+            let mut engine = Engine::new(
+                &mut *alloc,
+                workload,
+                params,
+                opts,
+                faults,
+                &mut cache_factory,
+            );
             // Recover from the store: decode the base snapshot, replay the
             // delta log, truncate at the first tear. An unusable base means
             // restart from scratch — deterministic replay plus the gated
@@ -660,7 +669,7 @@ mod tests {
     use super::*;
     use crate::engine::run_engine_with_faults_traced;
     use crate::trace::TraceRecorder;
-    use parapage_cache::{LruCache, ProcId};
+    use parapage_cache::{LruCache, PageId, ProcId};
     use parapage_core::{DetPar, FaultEvent, RandPar};
 
     fn params() -> ModelParams {

@@ -50,7 +50,7 @@
 
 use parapage_cache::{
     fnv1a64, frame_wal_record, parse_wal_record, CacheStats, CodecError, SnapReader, SnapWriter,
-    Time, WalRecordStep,
+    Time, WalRecordStep, WAL_RECORD_MAGIC,
 };
 use parapage_core::Interval;
 
@@ -445,9 +445,9 @@ impl WalCursor {
         w: &mut SnapWriter,
         payload: impl FnOnce(&mut SnapWriter) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mark = w.begin_wal_record(self.seq);
+        let mark = w.begin_record(WAL_RECORD_MAGIC, self.seq);
         payload(w)?;
-        self.chain = w.end_wal_record(mark, self.chain);
+        self.chain = w.end_record(mark, self.chain);
         self.seq += 1;
         Ok(())
     }

@@ -20,7 +20,10 @@
 //! (and [`MAX_FRAME`]) *before* any buffer is reserved, so a hostile
 //! length prefix cannot over-allocate.
 
-use parapage::cache::{fnv1a64, fnv1a64_seeded, CodecError, PageId, SnapReader, SnapWriter};
+use parapage::cache::{
+    fnv1a64, fnv1a64_pair, fnv1a64_seeded, CodecError, PageId, SnapReader, SnapWriter,
+    FNV_OFFSET_BASIS,
+};
 
 /// Leading magic of one wire frame (`b"ppwf"` — parallel paging wire
 /// frame; distinct from the checkpoint log's `b"ppwr"`).
@@ -287,6 +290,13 @@ impl Frame {
     /// wire frame.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
+        self.write_payload(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends the payload [`Frame::encode_payload`] returns to `w`, so a
+    /// frame can be encoded straight into a reused buffer.
+    pub fn write_payload(&self, w: &mut SnapWriter) {
         match self {
             Frame::Hello { proto, config } => {
                 w.put_u8(tag::HELLO);
@@ -391,7 +401,6 @@ impl Frame {
                 w.put_u64(*batch);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes a payload produced by [`Frame::encode_payload`]. Rejects
@@ -446,11 +455,13 @@ impl Frame {
                             "page list length exceeds remaining payload",
                         ));
                     }
-                    let mut seq = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        seq.push(r.get_page()?);
-                    }
-                    seqs.push(seq);
+                    let pages = r.take(n * 8)?;
+                    seqs.push(
+                        pages
+                            .chunks_exact(8)
+                            .map(|b| PageId(u64::from_le_bytes(b.try_into().unwrap())))
+                            .collect(),
+                    );
                 }
                 Frame::Batch { batch, seqs }
             }
@@ -562,6 +573,29 @@ pub struct WireFrame<'a> {
 /// checked *before* the length is trusted for anything, so a hostile
 /// 4 GiB declaration is rejected without reserving a byte.
 pub fn parse_wire(buf: &[u8], chain: u64, expect_seq: u64) -> Result<WireFrame<'_>, CodecError> {
+    verify_wire(buf, chain, expect_seq).map(|(frame, _)| frame)
+}
+
+/// Bytes the frame digest covers before a `Batch` frame's body: sequence,
+/// payload length, tag, batch number.
+const BATCH_HEAD: usize = 8 + 4 + 1 + 8;
+
+/// [`parse_wire`], which also returns the workload fingerprint of a
+/// `Batch` frame's sequences.
+///
+/// The bytes of a `Batch` payload after `tag | batch` are exactly the
+/// stream [`parapage::sched::workload_fingerprint`] hashes: `nseqs u64`,
+/// then per sequence `len u64` and its pages as `u64`. So after the frame
+/// chain has covered the header, a second FNV-1a chain starts from the
+/// offset basis and both run over the body in one loop, for about the
+/// cost of one hash. The fingerprint is `Some` for every payload whose tag
+/// byte is `Batch`; it describes the sequences only once the payload also
+/// decodes as a `Batch`.
+fn verify_wire(
+    buf: &[u8],
+    chain: u64,
+    expect_seq: u64,
+) -> Result<(WireFrame<'_>, Option<u64>), CodecError> {
     if buf.len() < WIRE_HEADER {
         return Err(CodecError::UnexpectedEof);
     }
@@ -581,17 +615,26 @@ pub fn parse_wire(buf: &[u8], chain: u64, expect_seq: u64) -> Result<WireFrame<'
         return Err(CodecError::UnexpectedEof);
     }
     let payload = &buf[WIRE_HEADER..WIRE_HEADER + len];
+    let covered = &buf[4..total - 8];
+    let (computed, fingerprint) = if len >= 9 && payload[0] == tag::BATCH {
+        let (head, body) = covered.split_at(BATCH_HEAD);
+        let (wire, fingerprint) =
+            fnv1a64_pair((fnv1a64_seeded(chain, head), FNV_OFFSET_BASIS), body);
+        (wire, Some(fingerprint))
+    } else {
+        (fnv1a64_seeded(chain, covered), None)
+    };
     let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
-    let computed = fnv1a64_seeded(chain, &buf[4..total - 8]);
     if computed != stored {
         return Err(CodecError::DigestMismatch { computed, stored });
     }
-    Ok(WireFrame {
+    let frame = WireFrame {
         seq,
         payload,
         digest: computed,
         consumed: total,
-    })
+    };
+    Ok((frame, fingerprint))
 }
 
 /// Why a framed read or write over a transport failed.
@@ -644,12 +687,28 @@ impl From<CodecError> for WireError {
     }
 }
 
-/// One direction of a framed stream: the next expected sequence number
-/// and the running digest chain.
-#[derive(Clone, Copy, Debug)]
+/// One direction of a framed stream: the next expected sequence number,
+/// the running digest chain, and the frame buffer the direction reuses.
+///
+/// A direction only ever writes or only ever reads, so one of the two
+/// buffers stays empty. The read buffer grows to the largest frame read
+/// (at most [`WIRE_HEADER`] + [`MAX_FRAME`] + 8 bytes) and the write
+/// buffer to the largest frame written; both are freed with the state.
 pub struct WireState {
     seq: u64,
     chain: u64,
+    out: SnapWriter,
+    inbuf: Vec<u8>,
+}
+
+impl std::fmt::Debug for WireState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireState")
+            .field("seq", &self.seq)
+            .field("chain", &self.chain)
+            .field("buffer_capacity", &self.buffer_capacity())
+            .finish()
+    }
 }
 
 impl WireState {
@@ -658,23 +717,41 @@ impl WireState {
         WireState {
             seq: 0,
             chain: chain_seed,
+            out: SnapWriter::new(),
+            inbuf: Vec::new(),
         }
     }
 
+    /// Bytes this direction keeps allocated between frames.
+    pub fn buffer_capacity(&self) -> usize {
+        self.out.capacity() + self.inbuf.capacity()
+    }
+
     /// Frames and writes one message, advancing the chain.
+    ///
+    /// The frame is encoded in place into the reused write buffer: the
+    /// header with a placeholder length, the payload, then the length
+    /// backpatched and the digest computed over the bytes where they lie.
+    /// The result is byte-identical to [`frame_wire`] of
+    /// [`Frame::encode_payload`].
     pub fn write_frame(
         &mut self,
         w: &mut impl std::io::Write,
         frame: &Frame,
     ) -> Result<(), WireError> {
-        let payload = frame.encode_payload();
-        if payload.len() > MAX_FRAME {
+        let out = &mut self.out;
+        out.clear();
+        let mark = out.begin_record(WIRE_MAGIC, self.seq);
+        frame.write_payload(out);
+        if out.len() - WIRE_HEADER > MAX_FRAME {
+            // Keep no oversized buffer for the rest of the connection.
+            self.out = SnapWriter::new();
             return Err(WireError::Codec(CodecError::Invalid(
                 "frame length exceeds MAX_FRAME",
             )));
         }
-        let (bytes, digest) = frame_wire(self.seq, self.chain, &payload);
-        w.write_all(&bytes)?;
+        let digest = out.end_record(mark, self.chain);
+        w.write_all(out.bytes())?;
         w.flush()?;
         self.seq += 1;
         self.chain = digest;
@@ -684,25 +761,52 @@ impl WireState {
     /// Reads, verifies, and decodes the next frame, advancing the chain.
     ///
     /// The declared payload length is validated against [`MAX_FRAME`]
-    /// *before* the payload buffer is allocated, so a hostile header
-    /// cannot force an over-allocation; a clean EOF before the first
-    /// header byte is [`WireError::Closed`].
+    /// *before* the read buffer grows, so a hostile header cannot force an
+    /// over-allocation; a clean EOF before the first header byte is
+    /// [`WireError::Closed`].
     pub fn read_frame(&mut self, r: &mut impl std::io::Read) -> Result<Frame, WireError> {
-        let mut buf = vec![0u8; WIRE_HEADER];
-        read_exact_or_closed(r, &mut buf, false)?;
+        self.read_frame_fingerprinted(r).map(|(frame, _)| frame)
+    }
+
+    /// [`WireState::read_frame`], which also returns the
+    /// [`parapage::sched::workload_fingerprint`] of a `Batch` frame's
+    /// sequences (`None` for every other frame). The fingerprint comes
+    /// from the same pass over the bytes that verifies the frame digest,
+    /// so a server can hand it to the engine instead of hashing the batch
+    /// a second time.
+    ///
+    /// Errors take the same precedence as [`parse_wire`] followed by
+    /// [`Frame::decode_payload`], with the length cap checked as soon as
+    /// the header has arrived.
+    pub fn read_frame_fingerprinted(
+        &mut self,
+        r: &mut impl std::io::Read,
+    ) -> Result<(Frame, Option<u64>), WireError> {
+        let buf = &mut self.inbuf;
+        if buf.len() < WIRE_HEADER {
+            buf.resize(WIRE_HEADER, 0);
+        }
+        read_exact_or_closed(r, &mut buf[..WIRE_HEADER], false)?;
         let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
             return Err(WireError::Codec(CodecError::Invalid(
                 "frame length exceeds MAX_FRAME",
             )));
         }
-        buf.resize(WIRE_HEADER + len + 8, 0);
-        read_exact_or_closed(r, &mut buf[WIRE_HEADER..], true)?;
-        let wf = parse_wire(&buf, self.chain, self.seq)?;
+        let total = WIRE_HEADER + len + 8;
+        // Grow only to the largest frame read so far. A shorter frame
+        // reuses the front of the buffer; the bytes past `total` are left
+        // from an earlier frame and are never looked at.
+        if buf.len() < total {
+            buf.reserve_exact(total - buf.len());
+            buf.resize(total, 0);
+        }
+        read_exact_or_closed(r, &mut buf[WIRE_HEADER..total], true)?;
+        let (wf, fingerprint) = verify_wire(&buf[..total], self.chain, self.seq)?;
         let frame = Frame::decode_payload(wf.payload)?;
         self.seq += 1;
         self.chain = wf.digest;
-        Ok(frame)
+        Ok((frame, fingerprint))
     }
 }
 

@@ -44,6 +44,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use parapage::sched::WorkloadRef;
+
 use crate::protocol::{
     c2s_chain_seed, error_code, s2c_chain_seed, Frame, ServerStats, TenantConfig, WireError,
     WireState, MAX_FRAME, MAX_TENANT_NAME, PROTO_VERSION,
@@ -394,8 +396,8 @@ fn connection_loop(
     attached: &mut Option<(String, Arc<Mutex<TenantSession>>)>,
 ) -> Result<(), WireError> {
     loop {
-        let frame = match rx.read_frame(stream) {
-            Ok(f) => f,
+        let (frame, fingerprint) = match rx.read_frame_fingerprinted(stream) {
+            Ok(read) => read,
             Err(WireError::Closed) => return Ok(()),
             Err(WireError::TimedOut { mid_frame }) => {
                 if mid_frame {
@@ -453,8 +455,12 @@ fn connection_loop(
             Frame::Batch { batch, seqs } => match &*attached {
                 None => no_session(),
                 Some((_, tenant)) => {
+                    // The reader hashed the batch while verifying its
+                    // frame; the engine reuses that fingerprint.
+                    let fingerprint = fingerprint.expect("a Batch frame is always fingerprinted");
+                    let workload = WorkloadRef::with_fingerprint(&seqs, fingerprint);
                     let mut t = tenant.lock().expect("tenant session poisoned");
-                    match t.run_batch(batch, &seqs) {
+                    match t.run_batch(batch, workload) {
                         Ok(done) => done,
                         Err((code, message)) => Frame::Error { code, message },
                     }

@@ -21,16 +21,14 @@
 //! counters (restarts, migrations, checkpoint bytes) are deliberately kept
 //! out of the reply chain and surface only through `Stats`.
 
-use parapage::cache::{
-    decode_framed, fnv1a64, fnv1a64_seeded, PageId, ShardedLru, SnapReader, SnapWriter,
-};
+use parapage::cache::{decode_framed, fnv1a64, fnv1a64_seeded, ShardedLru, SnapReader, SnapWriter};
 use parapage::core::{
     BlackboxGreenPacker, BoxAllocator, DetPar, ModelParams, PropMissPartition, RandGreen, RandPar,
     StaticPartition, UcpPartition,
 };
 use parapage::sched::{
     CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, RunResult, Supervisor,
-    SupervisorOpts,
+    SupervisorOpts, WorkloadRef,
 };
 
 use crate::protocol::{error_code, Frame, TenantConfig};
@@ -245,7 +243,17 @@ impl TenantSession {
     /// budget is `BUDGET_EXHAUSTED`, and a terminal engine failure is
     /// `ENGINE_FAILED`. The session survives all of them; only a served
     /// batch advances the sequence and the reply chain.
-    pub fn run_batch(&mut self, batch: u64, seqs: &[Vec<PageId>]) -> Result<Frame, (u16, String)> {
+    ///
+    /// `workload` is the batch's sequences, either borrowed as they are
+    /// (and hashed here) or as a [`WorkloadRef`] whose fingerprint the
+    /// wire reader already computed.
+    pub fn run_batch<'w>(
+        &mut self,
+        batch: u64,
+        workload: impl Into<WorkloadRef<'w>>,
+    ) -> Result<Frame, (u16, String)> {
+        let workload = workload.into();
+        let seqs = workload.seqs();
         if batch != self.next_batch {
             return Err((
                 error_code::BAD_STATE,
@@ -309,7 +317,7 @@ impl TenantSession {
         let mut next_mig = 0usize;
         let report = sup
             .run_controlled(
-                seqs,
+                workload,
                 &params,
                 &engine_opts,
                 &FaultPlan::none(),

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Perf-trajectory benchmark: builds the release CLI and runs the fixed
-# `parapage bench` recipe, writing BENCH_5.json at the repo root.
+# `parapage bench` recipe. The report is written only with `--out FILE`
+# (the tracked record is `--out BENCH_5.json` on a full run).
 #
 # Usage: scripts/bench.sh [--quick] [--threads N] [--seed N] [--out FILE]
 #                         [--baseline BENCH_n.json] [--profile]
