@@ -453,24 +453,10 @@ fn digest_run(d: &mut Digest, r: &RunResult) {
     ));
 }
 
-/// Runs one named box policy on the workload (suite-local dispatch).
+/// Runs one named box policy on the workload.
 fn run_policy(name: &str, w: &Workload, params: &ModelParams, seed: u64) -> RunResult {
-    let opts = EngineOpts::default();
-    let run = |a: &mut dyn BoxAllocator| run_engine(a, w.seqs(), params, &opts).expect("bench run");
-    match name {
-        "det-par" => run(&mut DetPar::new(params)),
-        "rand-par" => run(&mut RandPar::new(params, seed)),
-        "static" => run(&mut StaticPartition::new(params)),
-        "prop-miss" => run(&mut PropMissPartition::new(params)),
-        "ucp" => run(&mut UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            run(&mut BlackboxGreenPacker::new(params, pagers))
-        }
-        other => unreachable!("suite policy {other}"),
-    }
+    let mut alloc = boxed_policy(name, params, seed, false).expect("suite policy");
+    run_engine(&mut *alloc, w.seqs(), params, &EngineOpts::default()).expect("bench run")
 }
 
 /// The standard heterogeneous bench workload (mirrors the CLI's `mixed`).

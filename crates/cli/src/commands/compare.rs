@@ -3,7 +3,7 @@
 use parapage::prelude::*;
 
 use crate::args::Args;
-use crate::common::{model_from, run_named_policy, workload_from, ALL_POLICIES};
+use crate::common::{model_from, run_named_policy, workload_from};
 
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
@@ -26,7 +26,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         "miss %",
         "peak mem",
     ]);
-    for &name in ALL_POLICIES {
+    for &name in BOX_POLICIES.iter().chain(&["shared-lru"]) {
         let res = run_named_policy(name, &w, &params, &opts, seed)?;
         t.row([
             name.to_string(),

@@ -16,7 +16,7 @@
 use parapage::prelude::*;
 
 use crate::args::Args;
-use crate::common::run_named_policy_faults;
+use crate::common::{model_with, run_named_policy_faults};
 
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
@@ -24,38 +24,15 @@ pub fn exec(args: &Args) -> Result<(), String> {
         return exec_concurrent(args);
     }
     let quick = args.flag("quick");
-    let p: usize = args.get("p", 8)?;
-    let k: usize = args.get("k", 8 * p)?;
-    let s: u64 = args.get("s", 10)?;
-    if !k.is_power_of_two() || k < p {
-        // The §2 normal form (and the black-box packer's capacity
-        // assertion) want a power-of-two budget; insisting here keeps the
-        // geometry checker meaningful.
-        return Err(format!("--k {k} must be a power of two >= --p {p}"));
-    }
+    let params = model_with(args, 8, 8, 10, true)?;
     let seed: u64 = args.get("seed", 42)?;
     let len: usize = args.get("len", if quick { 600 } else { 2000 })?;
     let diff: usize = args.get("diff", if quick { 150 } else { 1000 })?;
-    let params = ModelParams::new(p, k, s);
 
     // The matrix workload mirrors the `mixed` family: heterogeneous
     // working-set widths so phases, strips, and partitions all get
     // exercised.
-    let specs: Vec<SeqSpec> = (0..p)
-        .map(|x| match x % 3 {
-            0 => SeqSpec::Cyclic {
-                width: (k / 8).max(2),
-                len,
-            },
-            1 => SeqSpec::Cyclic { width: k / 2, len },
-            _ => SeqSpec::Zipf {
-                universe: (k / 2).max(4),
-                theta: 0.9,
-                len,
-            },
-        })
-        .collect();
-    let w = build_workload(&specs, seed);
+    let w = chaos_workload(params.p, params.k, len, seed);
 
     let clean = run_named_policy_faults(
         "det-par",

@@ -7,11 +7,35 @@ use crate::args::Args;
 
 /// Model parameters from `--p/--k/--s` (defaults 8/128/16).
 pub fn model_from(args: &Args) -> Result<ModelParams, String> {
-    let p: usize = args.get("p", 8)?;
-    let k: usize = args.get("k", 16 * p)?;
-    let s: u64 = args.get("s", 16)?;
-    if k < p {
-        return Err(format!("--k {k} must be at least --p {p}"));
+    model_with(args, 8, 16, 16, false)
+}
+
+/// Validated model parameters from `--p/--k/--s`, `--k` defaulting to
+/// `k_per_p` pages per processor. With `pow2_k`, `--k` must also be a
+/// power of two: the §2 normal form (and the black-box packer's capacity
+/// assertion) want one, and insisting keeps the geometry checker
+/// meaningful. Every command that takes these flags comes through here,
+/// so a bad value is a usage error, never a panic.
+pub fn model_with(
+    args: &Args,
+    p_default: usize,
+    k_per_p: usize,
+    s_default: u64,
+    pow2_k: bool,
+) -> Result<ModelParams, String> {
+    let p: usize = args.get("p", p_default)?;
+    let k: usize = args.get("k", k_per_p * p)?;
+    let s: u64 = args.get("s", s_default)?;
+    if p == 0 {
+        return Err("--p must be at least 1".into());
+    }
+    if k < p || (pow2_k && !k.is_power_of_two()) {
+        let bound = if pow2_k {
+            "a power of two >="
+        } else {
+            "at least"
+        };
+        return Err(format!("--k {k} must be {bound} --p {p}"));
     }
     if s < 2 {
         return Err("--s must be at least 2".into());
@@ -116,49 +140,14 @@ pub fn run_named_policy_faults(
     plan: &FaultPlan,
     hardened: bool,
 ) -> Result<Result<RunResult, EngineError>, String> {
-    macro_rules! launch {
-        ($alloc:expr) => {{
-            let mut a = $alloc;
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                run_engine_faults(&mut h, w.seqs(), params, opts, plan)
-            } else {
-                run_engine_faults(&mut a, w.seqs(), params, opts, plan)
-            }
-        }};
+    if name == "shared-lru" {
+        return Err("`shared-lru` runs outside the box engine (no fault injection)".into());
     }
-    let res = match name {
-        "det-par" => launch!(DetPar::new(params)),
-        "rand-par" => launch!(RandPar::new(params, seed)),
-        "static" => launch!(StaticPartition::new(params)),
-        "prop-miss" => launch!(PropMissPartition::new(params)),
-        "ucp" => launch!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            launch!(BlackboxGreenPacker::new(params, pagers))
-        }
-        "shared-lru" => {
-            return Err("`shared-lru` runs outside the box engine (no fault injection)".into())
-        }
-        other => {
-            return Err(format!(
-                "unknown --policy `{other}` (det-par|rand-par|static|prop-miss|\
-                 ucp|bb-green|shared-lru)"
-            ))
-        }
-    };
-    Ok(res)
+    let mut alloc = boxed_policy(name, params, seed, hardened).map_err(|_| {
+        format!(
+            "unknown --policy `{name}` ({}|shared-lru)",
+            BOX_POLICIES.join("|")
+        )
+    })?;
+    Ok(run_engine_faults(&mut *alloc, w.seqs(), params, opts, plan))
 }
-
-/// All policy names, for `compare`.
-pub const ALL_POLICIES: &[&str] = &[
-    "det-par",
-    "rand-par",
-    "static",
-    "prop-miss",
-    "ucp",
-    "bb-green",
-    "shared-lru",
-];

@@ -217,3 +217,80 @@ fn chaos_rejects_a_filter_matching_nothing() {
     assert!(!ok);
     assert!(stderr.contains("matched no cells"));
 }
+
+/// Out-of-model `--p/--k/--s` values are usage errors (exit 2, `error:`),
+/// never a panic in `ModelParams::new`.
+#[test]
+fn bad_model_flags_are_usage_errors() {
+    let exe = env!("CARGO_BIN_EXE_parapage");
+    for args in [
+        &["run", "--p", "0"][..],
+        &["chaos", "--p", "0", "--k", "8"],
+        &["conform", "--p", "0", "--k", "8"],
+        &["chaos", "--s", "0"],
+        &["run", "--p", "4", "--k", "32", "--s", "1"],
+        &["chaos", "--quick", "--k", "24"],
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .expect("spawn parapage");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+    }
+}
+
+/// `--net` reads no model flags: a stray `--p` is an unknown flag, caught
+/// before the matrix runs, not a failed `--k` check.
+#[test]
+fn chaos_net_rejects_model_flags_as_unknown() {
+    let (ok, stdout, stderr) = parapage(&["chaos", "--quick", "--net", "--p", "3"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --p"), "{stderr}");
+    assert!(
+        !stdout.contains("net chaos matrix"),
+        "ran before rejecting: {stdout}"
+    );
+}
+
+/// The quick net matrix: its 8 cells, in order, all passing. The counters
+/// depend on timing, so only labels and verdicts are pinned.
+#[test]
+fn chaos_net_quick_cells_all_pass() {
+    let (ok, stdout, stderr) = parapage(&["chaos", "--quick", "--net"]);
+    assert!(ok, "stderr: {stderr}");
+    let rows: Vec<(&str, &str)> = stdout
+        .lines()
+        .filter_map(|l| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            (t.len() == 7 && t[0].contains('/')).then(|| (t[0], t[6]))
+        })
+        .collect();
+    let labels = [
+        "partial-writes/t2@0.60",
+        "write-stall/t2@0.60",
+        "read-stall/t2@0.60",
+        "cut-send/t2@0.60",
+        "cut-recv/t2@0.60",
+        "trickle/t2@0.60",
+        "idle-expiry/t1",
+        "shed/t1",
+    ];
+    assert_eq!(rows, labels.map(|l| (l, "pass")), "{stdout}");
+    assert!(stdout.contains("8 cells recovered byte-identically"));
+}
+
+#[test]
+fn chaos_net_cells_filter_runs_only_matching_cells() {
+    let (ok, stdout, stderr) = parapage(&["chaos", "--quick", "--net", "--cells", "trickle"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("trickle/t2@0.60"));
+    assert!(!stdout.contains("cut-send"));
+    assert!(stdout.contains("1 cells recovered byte-identically"));
+    assert!(stdout.contains("7 filtered out by --cells"));
+
+    let (ok, _, stderr) = parapage(&["chaos", "--quick", "--net", "--cells", "no-such-cell"]);
+    assert!(!ok);
+    assert!(stderr.contains("matched no cells"), "{stderr}");
+}

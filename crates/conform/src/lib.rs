@@ -26,10 +26,13 @@
 //! * [`envelope`] — competitive-ratio guardrails on the Theorem-4
 //!   adversarial instances: measured makespan / Lemma-8 OPT must stay
 //!   inside a `c·log p` envelope.
+//! * [`chaos`] — the one chaos harness: the cell shape (label, counters,
+//!   byte-identity verdict against an uninterrupted baseline), the
+//!   `--cells` filter, and the runner behind `parapage chaos`; the
+//!   server's network matrix reports the same cells.
 //! * [`resume`] — resume equivalence: a run that crashes and recovers
 //!   from snapshots (the `parapage-sched` supervisor) must reproduce the
-//!   uninterrupted run's result and trace byte-for-byte; drives the
-//!   `parapage chaos` matrix.
+//!   uninterrupted run's result and trace byte-for-byte.
 //! * [`schedules`] — loom-style schedule exploration for the concurrent
 //!   cache substrate: a token-passing virtual scheduler over the yield
 //!   points instrumented into `parapage-cache::concurrent`, DFS/random
@@ -39,8 +42,8 @@
 //! * [`walchaos`] — WAL corruption chaos: torn tails, partial tails,
 //!   mid-record truncations, bit flips, and stale-base/newer-log pairings
 //!   inflicted on the incremental checkpoint log at recovery time must be
-//!   detected as typed truncations and still recover byte-identically;
-//!   drives `parapage chaos --wal`.
+//!   detected as typed truncations and still recover byte-identically
+//!   (`parapage chaos --wal`).
 //!
 //! The `parapage conform` CLI subcommand drives all of this; it is also
 //! wired into `scripts/check.sh` as a pre-PR gate.
@@ -48,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod checkers;
 pub mod envelope;
 pub mod netfault;
@@ -57,6 +61,7 @@ pub mod resume;
 pub mod schedules;
 pub mod walchaos;
 
+pub use chaos::{chaos_matrices, chaos_workload, Baseline, CellFilter, ChaosCell, ChaosMatrix};
 pub use checkers::{
     check_box_geometry, check_det_par_stream, check_memory, check_phase_structure, check_replay,
     check_run_consistency, check_stream_order, merge_phases,
@@ -69,16 +74,12 @@ pub use oracle::{
     CONFORM_POLICIES,
 };
 pub use reference::run_reference;
-pub use resume::{
-    boxed_policy, check_corruption_rejection, check_resume, resume_matrix, ResumeCell,
-};
+pub use resume::{check_corruption_rejection, check_resume};
 pub use schedules::{
     check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
     run_schedule, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op, OpRecord, Scenario,
 };
-pub use walchaos::{
-    check_wal_corruption, wal_chaos_matrix, SabotagedStore, WalCell, WalCorruption,
-};
+pub use walchaos::{check_wal_corruption, SabotagedStore, WalCorruption};
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,7 @@
 
 use parapage_cache::PageId;
 use parapage_core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams,
-    PhaseRecord, PropMissPartition, RandGreen, RandPar, StaticPartition, UcpPartition,
+    boxed_policy, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams, PhaseRecord,
 };
 use parapage_sched::{
     run_engine_traced, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
@@ -26,14 +25,7 @@ use crate::checkers;
 use crate::reference::run_reference;
 
 /// The box policies the oracle audits (every engine-driven policy).
-pub const CONFORM_POLICIES: &[&str] = &[
-    "det-par",
-    "rand-par",
-    "static",
-    "prop-miss",
-    "ucp",
-    "bb-green",
-];
+pub use parapage_core::BOX_POLICIES as CONFORM_POLICIES;
 
 /// One traced run: the outcome, the full event stream, and (for DET-PAR)
 /// the policy's phase log for the structure checkers.
@@ -88,47 +80,24 @@ fn engine_runner(
             run_engine_traced(alloc, seqs, params, opts, plan, rec)
         }
     };
-    macro_rules! launch {
-        ($alloc:expr) => {{
-            let a = $alloc;
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                run(&mut h, &mut rec)
-            } else {
-                let mut a = a;
-                run(&mut a, &mut rec)
-            }
-        }};
-    }
     let mut phases = None;
-    let outcome = match name {
-        "det-par" => {
-            // DET-PAR is dispatched outside the macro so the phase log can
-            // be extracted after the run (through the wrapper if hardened).
-            let a = DetPar::new(params);
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                let out = run(&mut h, &mut rec);
-                phases = Some(h.inner().phases().to_vec());
-                out
-            } else {
-                let mut a = a;
-                let out = run(&mut a, &mut rec);
-                phases = Some(a.phases().to_vec());
-                out
-            }
+    let outcome = if name == "det-par" {
+        // DET-PAR is built concretely so the phase log can be extracted
+        // after the run (through the wrapper if hardened).
+        let a = DetPar::new(params);
+        if hardened {
+            let mut h = HardenedAllocator::new(a, params.k);
+            let out = run(&mut h, &mut rec);
+            phases = Some(h.inner().phases().to_vec());
+            out
+        } else {
+            let mut a = a;
+            let out = run(&mut a, &mut rec);
+            phases = Some(a.phases().to_vec());
+            out
         }
-        "rand-par" => launch!(RandPar::new(params, seed)),
-        "static" => launch!(StaticPartition::new(params)),
-        "prop-miss" => launch!(PropMissPartition::new(params)),
-        "ucp" => launch!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            launch!(BlackboxGreenPacker::new(params, pagers))
-        }
-        other => return Err(format!("unknown policy `{other}`")),
+    } else {
+        run(&mut *boxed_policy(name, params, seed, hardened)?, &mut rec)
     };
     Ok(TracedRun {
         outcome,

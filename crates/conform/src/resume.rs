@@ -2,113 +2,33 @@
 //!
 //! The contract (see `parapage-sched`'s `supervisor` module): a run that
 //! crashes at arbitrary points and resumes from checkpoints must produce
-//! the **byte-identical** [`RunResult`] and trace stream of an
-//! uninterrupted run. This module turns that contract into a checkable
-//! oracle:
+//! the **byte-identical** [`RunResult`](parapage_sched::RunResult) and
+//! trace stream of an uninterrupted run. This module turns that contract
+//! into the cells of the `parapage chaos` matrix (see [`crate::chaos`]):
 //!
 //! * [`check_resume`] — one cell: runs a policy uninterrupted through the
-//!   steppable engine (capturing result, trace, and tick count), then
-//!   re-runs it under the [`Supervisor`] with deterministic crashes
-//!   injected at the requested ticks, and diffs the two runs field by
-//!   field and event by event.
-//! * [`resume_matrix`] — the chaos grid: every checkpoint-capable policy ×
-//!   every named fault scenario × a set of crashpoints expressed as
-//!   fractions of the baseline run's tick count.
+//!   steppable engine, then re-runs it under the [`Supervisor`] with
+//!   deterministic crashes injected at fractions of the uninterrupted
+//!   run's tick count, and diffs the two runs field by field and event by
+//!   event.
 //! * [`check_corruption_rejection`] — a snapshot with a flipped byte must
 //!   be rejected with a typed error (never a panic, never a silent
 //!   mis-restore).
-//!
-//! The `parapage chaos` CLI subcommand drives the matrix and exits
-//! non-zero on any divergence or failed recovery.
 
 use parapage_cache::{LruCache, PageId};
-use parapage_core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams,
-    PropMissPartition, RandGreen, RandPar, StaticPartition, UcpPartition,
-};
+use parapage_core::{boxed_policy, FaultEvent, ModelParams};
 use parapage_sched::{
-    Engine, EngineOpts, EngineSnapshot, FaultPlan, SnapshotError, Supervisor, SupervisorOpts,
+    CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, Supervisor, SupervisorOpts,
     TraceRecorder,
 };
-use parapage_workloads::{fault_scenario, FAULT_SCENARIOS};
 
-use crate::checkers;
-use crate::oracle::CONFORM_POLICIES;
+use crate::chaos::{Baseline, ChaosCell};
 
-/// Builds a fresh boxed policy by name, deterministically: two calls with
-/// equal arguments produce byte-identical policies (same seed, same
-/// configuration), which is exactly what the supervisor's retry path
-/// requires.
-pub fn boxed_policy(
-    name: &str,
-    params: &ModelParams,
-    seed: u64,
-    hardened: bool,
-) -> Result<Box<dyn BoxAllocator>, String> {
-    macro_rules! wrap {
-        ($alloc:expr) => {{
-            if hardened {
-                Ok(Box::new(HardenedAllocator::new($alloc, params.k)) as Box<dyn BoxAllocator>)
-            } else {
-                Ok(Box::new($alloc) as Box<dyn BoxAllocator>)
-            }
-        }};
-    }
-    match name {
-        "det-par" => wrap!(DetPar::new(params)),
-        "rand-par" => wrap!(RandPar::new(params, seed)),
-        "static" => wrap!(StaticPartition::new(params)),
-        "prop-miss" => wrap!(PropMissPartition::new(params)),
-        "ucp" => wrap!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            wrap!(BlackboxGreenPacker::new(params, pagers))
-        }
-        other => Err(format!("unknown policy `{other}`")),
-    }
-}
-
-/// The verdict of one resume-equivalence cell.
-pub struct ResumeCell {
-    /// Policy name.
-    pub policy: String,
-    /// Fault scenario name.
-    pub scenario: String,
-    /// Engine ticks the injected crashes fired at.
-    pub crash_ticks: Vec<u64>,
-    /// Baseline run length in engine ticks.
-    pub baseline_ticks: u64,
-    /// Crashes the supervisor survived (should equal the crashpoint count).
-    pub crashes: u32,
-    /// Divergences between the recovered and the uninterrupted run; empty
-    /// means the cell passed.
-    pub violations: Vec<String>,
-}
-
-impl ResumeCell {
-    /// `true` when recovery was exact.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Supervisor knobs for the checker: small epochs so crashes land between
-/// checkpoints, no backoff (the crashes are injected, not environmental).
-fn checker_sup_opts(crashes: usize) -> SupervisorOpts {
-    SupervisorOpts {
-        epoch_ticks: 32,
-        max_retries: crashes as u32 + 2,
-        backoff_base: std::time::Duration::ZERO,
-        ..SupervisorOpts::default()
-    }
-}
-
-/// One resume-equivalence check: uninterrupted vs crash-and-recover.
-///
-/// `crash_ticks` are absolute engine ticks; ticks beyond the baseline
-/// run's length never fire and are dropped from the comparison.
+/// One resume-equivalence cell, labelled `policy/scenario`: uninterrupted
+/// vs crash-and-recover, with one crash at each of `crash_fracs` (each a
+/// fraction in `(0, 1)` of the uninterrupted run's tick count, all
+/// injected into a single supervised run). Counters: baseline ticks,
+/// crashes survived.
 #[allow(clippy::too_many_arguments)] // one cell = the full run recipe; a struct would just rename the args
 pub fn check_resume(
     policy: &str,
@@ -118,138 +38,51 @@ pub fn check_resume(
     seed: u64,
     scenario: &str,
     plan: &FaultPlan,
-    crash_ticks: &[u64],
-) -> Result<ResumeCell, String> {
+    crash_fracs: &[f64],
+) -> Result<ChaosCell, String> {
     let hardened = plan
         .events()
         .iter()
         .any(|e| matches!(e, FaultEvent::MemoryPressure { .. }));
+    let base = Baseline::run(policy, seqs, params, opts, seed, plan, hardened)?;
+    let mut crash_ticks: Vec<u64> = crash_fracs
+        .iter()
+        .map(|f| ((base.ticks as f64 * f) as u64).max(1))
+        .filter(|&t| t <= base.ticks)
+        .collect();
+    crash_ticks.sort_unstable();
+    crash_ticks.dedup();
 
-    // Baseline: the uninterrupted run, through the same steppable engine
-    // the supervisor drives.
-    let mut alloc = boxed_policy(policy, params, seed, hardened)?;
-    let mut engine = Engine::new(&mut *alloc, seqs, params, opts, plan, |_| LruCache::new(0));
-    let mut baseline_trace = TraceRecorder::new();
-    loop {
-        match engine.step(&mut *alloc, &mut baseline_trace) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(format!("baseline run errored: {e}")),
-        }
-    }
-    let baseline_ticks = engine.ticks();
-    let baseline = engine.into_result(&*alloc);
-
-    let crash_ticks: Vec<u64> = {
-        let mut t: Vec<u64> = crash_ticks
-            .iter()
-            .copied()
-            .filter(|&t| t >= 1 && t <= baseline_ticks)
-            .collect();
-        t.sort_unstable();
-        t.dedup();
-        t
+    // Small epochs so crashes land between checkpoints, no backoff (the
+    // crashes are injected, not environmental).
+    let sup_opts = SupervisorOpts {
+        epoch_ticks: 32,
+        max_retries: crash_ticks.len() as u32 + 2,
+        backoff_base: std::time::Duration::ZERO,
+        ..SupervisorOpts::default()
     };
-
-    // Recovered: same inputs, crashes injected, supervisor in the loop.
-    let mut recovered_trace = TraceRecorder::new();
-    let supervised = Supervisor::new(checker_sup_opts(crash_ticks.len())).run(
+    let mut trace = TraceRecorder::new();
+    let supervised = Supervisor::new(sup_opts).run(
         seqs,
         params,
         opts,
         plan,
-        &parapage_sched::CrashPlan::at_ticks(crash_ticks.clone()),
+        &CrashPlan::at_ticks(crash_ticks.clone()),
         || {
             boxed_policy(policy, params, seed, hardened)
                 .expect("factory succeeded for the baseline")
         },
         |_| LruCache::new(0),
-        &mut recovered_trace,
+        &mut trace,
     );
-
-    let mut violations = Vec::new();
-    let mut crashes = 0;
-    match supervised {
-        Err(e) => violations.push(format!("recovery failed: {e}")),
-        Ok(report) => {
-            crashes = report.crashes;
-            if report.crashes as usize != crash_ticks.len() {
-                violations.push(format!(
-                    "expected {} injected crashes, observed {}",
-                    crash_ticks.len(),
-                    report.crashes
-                ));
-            }
-            if report.result != baseline {
-                violations.push(format!(
-                    "RunResult diverged: recovered {:?} vs baseline {:?}",
-                    report.result, baseline
-                ));
-            }
-            violations.extend(
-                checkers::check_replay(baseline_trace.events(), recovered_trace.events())
-                    .into_iter()
-                    .map(|v| format!("trace: {v}")),
-            );
-        }
-    }
-
-    Ok(ResumeCell {
-        policy: policy.to_string(),
-        scenario: scenario.to_string(),
-        crash_ticks,
-        baseline_ticks,
-        crashes,
-        violations,
+    Ok(ChaosCell {
+        label: format!("{policy}/{scenario}"),
+        counters: vec![
+            base.ticks,
+            supervised.as_ref().map_or(0, |r| r.crashes.into()),
+        ],
+        violations: base.judge(&supervised, &trace, crash_ticks.len()),
     })
-}
-
-/// The chaos grid: every policy in [`CONFORM_POLICIES`] × every named
-/// fault scenario × one crashpoint per entry of `crash_fracs` (a fraction
-/// in `(0, 1)` of the cell's baseline tick count; each cell injects all
-/// its crashpoints into a single supervised run).
-pub fn resume_matrix(
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    seed: u64,
-    horizon: u64,
-    crash_fracs: &[f64],
-) -> Result<Vec<ResumeCell>, String> {
-    let mut cells = Vec::new();
-    for &policy in CONFORM_POLICIES {
-        for &scenario in FAULT_SCENARIOS {
-            let events = fault_scenario(scenario, params.p, params.k, horizon, seed)
-                .ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
-            let plan = FaultPlan::new(events);
-            // Probe the baseline length first with no crashes, then place
-            // the crashpoints at the requested fractions of it.
-            let probe = check_resume(
-                policy,
-                seqs,
-                params,
-                &EngineOpts::default(),
-                seed,
-                scenario,
-                &plan,
-                &[],
-            )?;
-            let crash_ticks: Vec<u64> = crash_fracs
-                .iter()
-                .map(|f| ((probe.baseline_ticks as f64 * f) as u64).max(1))
-                .collect();
-            cells.push(check_resume(
-                policy,
-                seqs,
-                params,
-                &EngineOpts::default(),
-                seed,
-                scenario,
-                &plan,
-                &crash_ticks,
-            )?);
-        }
-    }
-    Ok(cells)
 }
 
 /// Verifies that a corrupted snapshot is rejected with a typed error: for
@@ -290,18 +123,11 @@ pub fn check_corruption_rejection(
     for i in (0..bytes.len()).step_by(stride) {
         let mut bad = bytes.clone();
         bad[i] ^= 0x40;
-        match EngineSnapshot::decode(&bad) {
-            Err(SnapshotError::Codec(_)) | Err(SnapshotError::Shape(_)) => {}
-            Err(other) => {
-                // Workload-mismatch is also a typed rejection; accept it.
-                let _ = other;
-            }
-            Ok(_) => {
-                return Err(format!(
-                    "snapshot with byte {i} flipped decoded successfully — \
-                     the integrity digest missed a corruption"
-                ))
-            }
+        if EngineSnapshot::decode(&bad).is_ok() {
+            return Err(format!(
+                "snapshot with byte {i} flipped decoded successfully — \
+                 the integrity digest missed a corruption"
+            ));
         }
     }
     // Truncation must also be typed.
@@ -314,7 +140,8 @@ pub fn check_corruption_rejection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapage_workloads::{build_workload, SeqSpec};
+    use crate::oracle::CONFORM_POLICIES;
+    use parapage_workloads::{build_workload, fault_scenario, SeqSpec};
 
     fn workload(p: usize, len: usize, k: usize) -> Vec<Vec<PageId>> {
         let specs: Vec<SeqSpec> = (0..p)
@@ -339,19 +166,6 @@ mod tests {
         let seqs = workload(4, 300, 32);
         let plan =
             FaultPlan::new(fault_scenario("stalls", 4, 32, 4000, 7).expect("stalls scenario"));
-        let probe = check_resume(
-            "det-par",
-            &seqs,
-            &params,
-            &EngineOpts::default(),
-            7,
-            "stalls",
-            &plan,
-            &[],
-        )
-        .expect("probe");
-        assert!(probe.passed(), "probe violations: {:?}", probe.violations);
-        let mid = (probe.baseline_ticks / 2).max(1);
         let cell = check_resume(
             "det-par",
             &seqs,
@@ -360,11 +174,12 @@ mod tests {
             7,
             "stalls",
             &plan,
-            &[2, mid, probe.baseline_ticks - 1],
+            &[0.05, 0.5, 0.95],
         )
         .expect("cell");
+        assert_eq!(cell.label, "det-par/stalls");
         assert!(cell.passed(), "violations: {:?}", cell.violations);
-        assert_eq!(cell.crashes as usize, cell.crash_ticks.len());
+        assert_eq!(cell.counters[1], 3, "crashes survived");
     }
 
     #[test]
@@ -373,18 +188,6 @@ mod tests {
         let seqs = workload(4, 300, 32);
         let plan =
             FaultPlan::new(fault_scenario("chaos", 4, 32, 4000, 11).expect("chaos scenario"));
-        let probe = check_resume(
-            "rand-par",
-            &seqs,
-            &params,
-            &EngineOpts::default(),
-            11,
-            "chaos",
-            &plan,
-            &[],
-        )
-        .expect("probe");
-        let t = probe.baseline_ticks;
         let cell = check_resume(
             "rand-par",
             &seqs,
@@ -393,7 +196,7 @@ mod tests {
             11,
             "chaos",
             &plan,
-            &[t / 10 + 1, t / 3 + 1, (2 * t) / 3 + 1],
+            &[0.1, 0.34, 0.67],
         )
         .expect("cell");
         assert!(cell.passed(), "violations: {:?}", cell.violations);

@@ -16,22 +16,20 @@
 //! corrupted `(base, log)` view exactly once — at the recovery read that
 //! follows an injected crash — then [`check_wal_corruption`] diffs the
 //! recovered run against the uninterrupted baseline field by field and
-//! event by event. [`wal_chaos_matrix`] sweeps every checkpoint-capable
-//! policy (RNG-backed ones included) across every corruption kind. The
-//! `parapage chaos --wal` CLI subcommand drives it.
+//! event by event. [`crate::chaos::chaos_matrices`] sweeps every
+//! checkpoint-capable policy (RNG-backed ones included) across every
+//! corruption kind; `parapage chaos --wal` drives it.
 
 use parapage_cache::{
     fnv1a64, parse_wal_record, LruCache, PageId, WalRecordStep, WAL_RECORD_HEADER,
 };
-use parapage_core::ModelParams;
+use parapage_core::{boxed_policy, ModelParams};
 use parapage_sched::{
-    CheckpointStore, CrashPlan, Engine, EngineOpts, FaultPlan, MemStore, Supervisor,
-    SupervisorOpts, TraceRecorder,
+    CheckpointStore, CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink,
+    Supervisor, SupervisorOpts, TraceRecorder,
 };
 
-use crate::checkers;
-use crate::oracle::CONFORM_POLICIES;
-use crate::resume::boxed_policy;
+use crate::chaos::{Baseline, ChaosCell};
 
 /// The corruption a [`SabotagedStore`] inflicts on the recovery read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,94 +248,45 @@ impl CheckpointStore for SabotagedStore {
     }
 }
 
-/// The verdict of one WAL corruption cell.
-pub struct WalCell {
-    /// Policy name.
-    pub policy: String,
-    /// Corruption kind.
-    pub corruption: WalCorruption,
-    /// Engine tick the injected crash fired at.
-    pub crash_tick: u64,
-    /// Recovery truncations the supervisor reported.
-    pub truncations: u32,
-    /// WAL records appended across the run.
-    pub wal_records: u64,
-    /// Divergences from the uninterrupted baseline; empty means the cell
-    /// passed.
-    pub violations: Vec<String>,
-}
-
-impl WalCell {
-    /// `true` when recovery was exact despite the corruption.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+/// The boundary counts at which a crash leaves the store holding what
+/// `corruption` needs. With `full_snapshot_every: 2` the stale-base store
+/// cycles base / one record / two records over a period of three epoch
+/// boundaries, so its crash must follow a non-empty log and a previous
+/// base (boundary count >= 5, not 1 mod 3); every other cell keeps one
+/// base forever and just needs the log non-empty (boundary count >= 2).
+fn strike_premise(corruption: WalCorruption, boundaries: usize) -> bool {
+    match corruption {
+        WalCorruption::StaleBase => boundaries >= 5 && boundaries % 3 != 1,
+        _ => boundaries >= 2,
     }
 }
 
-/// One WAL corruption cell: run the policy uninterrupted, then crash it
-/// once mid-run with WAL checkpoints at every epoch and the given
-/// corruption inflicted on the recovery read, and demand a byte-identical
-/// result and trace.
+/// One WAL corruption cell, labelled `policy/corruption`: run the policy
+/// uninterrupted, then crash it once mid-run with WAL checkpoints at every
+/// epoch and the given corruption inflicted on the recovery read, and
+/// demand a byte-identical result and trace. Counters: crash tick, WAL
+/// records appended, recovery truncations.
 pub fn check_wal_corruption(
     policy: &str,
     seqs: &[Vec<PageId>],
     params: &ModelParams,
     seed: u64,
     corruption: WalCorruption,
-) -> Result<WalCell, String> {
+) -> Result<ChaosCell, String> {
     let opts = EngineOpts::default();
     let plan = FaultPlan::none();
-
-    // Baseline: the uninterrupted run.
-    let mut alloc = boxed_policy(policy, params, seed, false)?;
-    let mut engine = Engine::new(&mut *alloc, seqs, params, &opts, &plan, |_| {
-        LruCache::new(0)
-    });
-    let mut baseline_trace = TraceRecorder::new();
-    loop {
-        match engine.step(&mut *alloc, &mut baseline_trace) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(format!("baseline run errored: {e}")),
-        }
-    }
-    let baseline_ticks = engine.ticks();
-    let baseline = engine.into_result(&*alloc);
-    if baseline_ticks < 24 {
+    let base = Baseline::run(policy, seqs, params, &opts, seed, &plan, false)?;
+    if base.ticks < 24 {
         return Err(format!(
-            "premise failed: baseline run too short ({baseline_ticks} ticks) to corrupt into"
+            "premise failed: baseline run too short ({} ticks) to corrupt into",
+            base.ticks
         ));
     }
 
     // Policies with long-lived grants run few engine ticks even on long
     // workloads, so scale the epoch to the baseline: aim for a dozen or so
     // epoch boundaries before the run ends.
-    let epoch_ticks = (baseline_ticks / 12).clamp(2, 8);
-
-    // Crash past the 60% mark, then align so the WAL actually has
-    // something to corrupt at that moment. With `full_snapshot_every: 2`
-    // the store cycles base / one record / two records over a period of
-    // three epoch boundaries, so the stale-base cell must land where the
-    // log is non-empty and a previous base exists (boundary count >= 5,
-    // not 1 mod 3); every other cell keeps one base forever and just needs
-    // the log non-empty (boundary count >= 2).
-    let mut boundaries = (baseline_ticks * 3 / 5) / epoch_ticks;
-    match corruption {
-        WalCorruption::StaleBase => {
-            while boundaries < 5 || boundaries % 3 == 1 {
-                boundaries += 1;
-            }
-        }
-        _ => boundaries = boundaries.max(2),
-    }
-    let crash_tick = boundaries * epoch_ticks + epoch_ticks / 2;
-    if crash_tick >= baseline_ticks {
-        return Err(format!(
-            "premise failed: aligned crash tick {crash_tick} falls past the \
-             {baseline_ticks}-tick baseline"
-        ));
-    }
-
+    let epoch_ticks = (base.ticks / 12).clamp(2, 8);
     let sup_opts = SupervisorOpts {
         epoch_ticks,
         max_retries: 3,
@@ -351,99 +300,103 @@ pub fn check_wal_corruption(
         },
         ..SupervisorOpts::default()
     };
+    let factory =
+        || boxed_policy(policy, params, seed, false).expect("factory succeeded for the baseline");
+
+    // Epoch boundaries land where the engine's clock crosses each epoch's
+    // end, and one step may process a whole timestamp batch, so read them
+    // off a clean supervised run instead of assuming multiples of
+    // `epoch_ticks`.
+    let mut bounds = Vec::new();
+    Supervisor::new(sup_opts)
+        .run_controlled(
+            seqs,
+            params,
+            &opts,
+            &plan,
+            &CrashPlan::none(),
+            factory,
+            |_| LruCache::new(0),
+            &mut NullSink,
+            &mut MemStore::new(),
+            |status| {
+                bounds.push(status.ticks);
+                EpochControl::Continue
+            },
+        )
+        .map_err(|e| format!("clean supervised run failed: {e}"))?;
+    // A crash at tick `t` fires before any boundary at or past `t`.
+    let before = |t: u64| bounds.iter().filter(|&&b| b < t).count();
+
+    // Crash past the 60% mark, aligned to the boundary count the strike
+    // needs as if boundaries fell at multiples of `epoch_ticks`. Where the
+    // observed boundaries disagree, move to the next observed boundary
+    // that meets the premise.
+    let mut boundaries = (base.ticks * 3 / 5) / epoch_ticks;
+    while !strike_premise(corruption, boundaries as usize) {
+        boundaries += 1;
+    }
+    let mut crash_tick = boundaries * epoch_ticks + epoch_ticks / 2;
+    if !strike_premise(corruption, before(crash_tick)) {
+        let next = (before(crash_tick) + 1..=bounds.len())
+            .find(|&n| strike_premise(corruption, n))
+            .ok_or_else(|| {
+                format!("premise failed: no epoch boundary after tick {crash_tick} meets it")
+            })?;
+        crash_tick = bounds[next - 1] + epoch_ticks / 2;
+    }
+    if crash_tick >= base.ticks {
+        return Err(format!(
+            "premise failed: aligned crash tick {crash_tick} falls past the \
+             {}-tick baseline",
+            base.ticks
+        ));
+    }
+
     let mut store = SabotagedStore::new(corruption);
-    let mut recovered_trace = TraceRecorder::new();
+    let mut trace = TraceRecorder::new();
     let supervised = Supervisor::new(sup_opts).run_with_store(
         seqs,
         params,
         &opts,
         &plan,
         &CrashPlan::at_ticks(vec![crash_tick]),
-        || boxed_policy(policy, params, seed, false).expect("factory succeeded for the baseline"),
+        factory,
         |_| LruCache::new(0),
-        &mut recovered_trace,
+        &mut trace,
         &mut store,
     );
 
-    let mut violations = Vec::new();
-    let mut truncations = 0;
-    let mut wal_records = 0;
-    match supervised {
-        Err(e) => violations.push(format!("recovery failed: {e}")),
-        Ok(report) => {
-            truncations = report.wal_truncations;
-            wal_records = report.wal_records;
-            if report.crashes != 1 {
-                violations.push(format!(
-                    "expected 1 injected crash, observed {}",
-                    report.crashes
-                ));
-            }
-            if !store.struck() {
-                violations.push("the corrupted view was never read".to_string());
-            }
-            if report.wal_records == 0 {
-                violations.push("premise failed: no WAL records were written".to_string());
-            }
-            // Every kind must be *detected* — a faithful pass-through means
-            // the crash tick alignment failed to give the strike material.
-            if store.served_faithfully() {
-                violations.push(format!(
-                    "premise failed: nothing to corrupt at the strike ({:?})",
-                    store.strike_note
-                ));
-            } else if report.wal_truncations == 0 {
-                violations.push(format!(
-                    "corruption went undetected (strike: {:?})",
-                    store.strike_note
-                ));
-            }
-            if report.result != baseline {
-                violations.push(format!(
-                    "RunResult diverged: recovered {:?} vs baseline {:?}",
-                    report.result, baseline
-                ));
-            }
-            violations.extend(
-                checkers::check_replay(baseline_trace.events(), recovered_trace.events())
-                    .into_iter()
-                    .map(|v| format!("trace: {v}")),
-            );
+    let mut violations = base.judge(&supervised, &trace, 1);
+    let (records, truncations) = supervised
+        .as_ref()
+        .map_or((0, 0), |r| (r.wal_records, r.wal_truncations.into()));
+    if supervised.is_ok() {
+        if !store.struck() {
+            violations.push("the corrupted view was never read".to_string());
+        }
+        if records == 0 {
+            violations.push("premise failed: no WAL records were written".to_string());
+        }
+        // Every kind must be *detected* — a faithful pass-through means
+        // the crash tick alignment failed to give the strike material.
+        if store.served_faithfully() {
+            violations.push(format!(
+                "premise failed: nothing to corrupt at the strike ({:?})",
+                store.strike_note
+            ));
+        } else if truncations == 0 {
+            violations.push(format!(
+                "corruption went undetected (strike: {:?})",
+                store.strike_note
+            ));
         }
     }
-
-    Ok(WalCell {
-        policy: policy.to_string(),
-        corruption,
-        crash_tick,
-        truncations,
-        wal_records,
+    Ok(ChaosCell {
+        label: format!("{policy}/{corruption}"),
+        counters: vec![crash_tick, records, truncations],
         violations,
     })
-}
-
-/// The WAL corruption matrix: every policy in `policies` (all of
-/// [`CONFORM_POLICIES`] when empty) × every [`WalCorruption`] kind.
-pub fn wal_chaos_matrix(
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    seed: u64,
-    policies: &[&str],
-) -> Result<Vec<WalCell>, String> {
-    let policies: Vec<&str> = if policies.is_empty() {
-        CONFORM_POLICIES.to_vec()
-    } else {
-        policies.to_vec()
-    };
-    let mut cells = Vec::new();
-    for policy in policies {
-        for corruption in WalCorruption::ALL {
-            cells.push(check_wal_corruption(
-                policy, seqs, params, seed, corruption,
-            )?);
-        }
-    }
-    Ok(cells)
 }
 
 #[cfg(test)]
@@ -480,7 +433,7 @@ mod tests {
                 "{corruption}: violations {:?}",
                 cell.violations
             );
-            assert!(cell.truncations >= 1, "{corruption}: nothing truncated");
+            assert!(cell.counters[2] >= 1, "{corruption}: nothing truncated");
         }
     }
 
@@ -496,6 +449,27 @@ mod tests {
                 "{corruption}: violations {:?}",
                 cell.violations
             );
+        }
+    }
+
+    /// At p=8 one engine step can cover a whole timestamp batch, so epoch
+    /// boundaries drift from multiples of `epoch_ticks`; the stale-base
+    /// crash must follow the boundaries the supervisor really takes.
+    #[test]
+    fn stale_base_strikes_at_observed_boundaries_at_p8() {
+        let params = ModelParams::new(8, 64, 10);
+        for seed in [42, 7, 1234] {
+            let w = crate::chaos::chaos_workload(8, 64, 2000, seed);
+            for policy in ["det-par", "rand-par"] {
+                let cell =
+                    check_wal_corruption(policy, w.seqs(), &params, seed, WalCorruption::StaleBase)
+                        .unwrap_or_else(|e| panic!("{policy} seed {seed}: {e}"));
+                assert!(
+                    cell.passed(),
+                    "{policy} seed {seed}: violations {:?}",
+                    cell.violations
+                );
+            }
         }
     }
 }

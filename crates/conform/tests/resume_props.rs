@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use parapage_cache::{Cache, Checkpoint, LruCache, ShardedLru, SnapWriter};
-use parapage_conform::{boxed_policy, check_replay, check_resume, CONFORM_POLICIES};
-use parapage_core::ModelParams;
+use parapage_conform::{check_replay, check_resume, CONFORM_POLICIES};
+use parapage_core::{boxed_policy, ModelParams};
 use parapage_sched::{
     CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, NullSink, Supervisor, SupervisorOpts,
     TraceRecorder, WalCursor,
@@ -193,20 +193,14 @@ proptest! {
             fault_scenario(scenario, p, k, (len as u64 + 4) * 6 * 4, seed).unwrap(),
         );
         let opts = EngineOpts::default();
-        // Probe the baseline length, then crash at the sampled fraction.
-        let probe = check_resume(
-            policy, &seqs, &params, &opts, seed, scenario, &plan, &[],
-        ).unwrap();
-        prop_assert!(probe.passed(), "{}/{}: {:?}", policy, scenario, probe.violations);
-        let crash = ((probe.baseline_ticks as f64 * crash_frac) as u64)
-            .clamp(1, probe.baseline_ticks);
+        // Crash at the sampled fraction of the baseline length.
         let cell = check_resume(
-            policy, &seqs, &params, &opts, seed, scenario, &plan, &[crash],
+            policy, &seqs, &params, &opts, seed, scenario, &plan, &[crash_frac],
         ).unwrap();
         prop_assert!(
             cell.passed(),
-            "{}/{} crash at tick {}/{}: {:?}",
-            policy, scenario, crash, cell.baseline_ticks, cell.violations
+            "{}/{} crash at {} of {} ticks: {:?}",
+            policy, scenario, crash_frac, cell.counters[0], cell.violations
         );
     }
 

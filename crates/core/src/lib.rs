@@ -44,6 +44,7 @@ pub use parallel::baselines::{PropMissPartition, SrptPartition, StaticPartition}
 pub use parallel::blackbox::BlackboxGreenPacker;
 pub use parallel::det_par::{DetPar, PhaseRecord};
 pub use parallel::hardened::HardenedAllocator;
+pub use parallel::named::{boxed_policy, BOX_POLICIES};
 pub use parallel::rand_par::{ChunkRecord, RandPar, RandParConfig};
 pub use parallel::ucp::UcpPartition;
 pub use parallel::{BoxAllocator, FaultEvent, Grant};

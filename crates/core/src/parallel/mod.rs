@@ -34,6 +34,7 @@ pub mod baselines;
 pub mod blackbox;
 pub mod det_par;
 pub mod hardened;
+pub mod named;
 pub mod rand_par;
 pub mod ucp;
 

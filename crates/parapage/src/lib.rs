@@ -74,19 +74,19 @@ pub mod prelude {
         ShardedCache, ShardedLru, SplitOrderedMap, Time, TwoQueueCache,
     };
     pub use parapage_conform::{
-        check_concurrent_cache, check_corruption_rejection, check_resume, check_sharded_ledgers,
-        check_wal_corruption, competitive_envelope, conform_matrix, conform_run,
-        differential_sweep, explore, explore_all, net_cells, resume_matrix, scenarios,
-        wal_chaos_matrix, ConcurrentCell, ConformReport, DiffReport, EnvelopeReport, ExploreMode,
-        ExploreReport, NetCell, NetFaultKind, NetFaultPlan, ResumeCell, WalCell, WalCorruption,
-        CONFORM_POLICIES,
+        chaos_matrices, chaos_workload, check_concurrent_cache, check_corruption_rejection,
+        check_resume, check_sharded_ledgers, check_wal_corruption, competitive_envelope,
+        conform_matrix, conform_run, differential_sweep, explore, explore_all, net_cells,
+        scenarios, CellFilter, ChaosCell, ChaosMatrix, ConcurrentCell, ConformReport, DiffReport,
+        EnvelopeReport, ExploreMode, ExploreReport, NetCell, NetFaultKind, NetFaultPlan,
+        WalCorruption, CONFORM_POLICIES,
     };
     pub use parapage_core::{
-        audit_greedy, check_well_rounded, green_opt, green_opt_fast, green_opt_fast_normalized,
-        green_opt_normalized, run_green, run_profile, AdaptiveGreen, BlackboxGreenPacker,
-        BoxAllocator, BoxHeightDist, BoxProfile, DetPar, FaultEvent, Grant, GreenPolicy,
-        HardenedAllocator, MemBox, ModelParams, PropMissPartition, RandGreen, RandPar,
-        RebootingGreen, SrptPartition, StaticPartition, UcpPartition, UniversalGreen,
+        audit_greedy, boxed_policy, check_well_rounded, green_opt, green_opt_fast,
+        green_opt_fast_normalized, green_opt_normalized, run_green, run_profile, AdaptiveGreen,
+        BlackboxGreenPacker, BoxAllocator, BoxHeightDist, BoxProfile, DetPar, FaultEvent, Grant,
+        GreenPolicy, HardenedAllocator, MemBox, ModelParams, PropMissPartition, RandGreen, RandPar,
+        RebootingGreen, SrptPartition, StaticPartition, UcpPartition, UniversalGreen, BOX_POLICIES,
     };
     pub use parapage_sched::{
         capped_backoff, jittered_backoff, run_engine, run_engine_faults, run_engine_sharded,

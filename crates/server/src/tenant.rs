@@ -22,10 +22,7 @@
 //! out of the reply chain and surface only through `Stats`.
 
 use parapage::cache::{decode_framed, fnv1a64, fnv1a64_seeded, ShardedLru, SnapReader, SnapWriter};
-use parapage::core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, ModelParams, PropMissPartition, RandGreen, RandPar,
-    StaticPartition, UcpPartition,
-};
+use parapage::core::{boxed_policy, BoxAllocator, ModelParams, BOX_POLICIES};
 use parapage::sched::{
     CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, RunResult, Supervisor,
     SupervisorOpts, WorkloadRef,
@@ -47,29 +44,13 @@ fn batch_seed(seed: u64, batch: u64) -> u64 {
 /// with checkpoint support; `shared-lru` runs outside the box engine and
 /// is not servable).
 pub fn policy_known(name: &str) -> bool {
-    matches!(
-        name,
-        "det-par" | "rand-par" | "static" | "prop-miss" | "ucp" | "bb-green"
-    )
+    BOX_POLICIES.contains(&name)
 }
 
 /// Builds a fresh policy by name — deterministically identical per call,
 /// as the supervisor's factory contract requires.
 fn make_policy(name: &str, params: &ModelParams, seed: u64) -> Box<dyn BoxAllocator> {
-    match name {
-        "det-par" => Box::new(DetPar::new(params)),
-        "rand-par" => Box::new(RandPar::new(params, seed)),
-        "static" => Box::new(StaticPartition::new(params)),
-        "prop-miss" => Box::new(PropMissPartition::new(params)),
-        "ucp" => Box::new(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            Box::new(BlackboxGreenPacker::new(params, pagers))
-        }
-        other => unreachable!("policy `{other}` must be validated at Hello"),
-    }
+    boxed_policy(name, params, seed, false).expect("policy name validated at Hello")
 }
 
 /// Server-side tuning for tenant engine runs.

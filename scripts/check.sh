@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, the full test suite, and the
-# conformance oracle. Run from anywhere; works on the repo this script
-# lives in.
+# Pre-PR gate and the whole of CI: formatting, lints, the full test
+# suite, the conformance oracle, every chaos matrix, the serve smokes,
+# the ops floors, the bench smoke, and the loopback benchmark's
+# correctness smoke. Run from anywhere; works on the repo this script
+# lives in. The bench smoke's JSON report lands in
+# /tmp/parapage-bench-smoke.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,11 +26,17 @@ cargo run -q -p parapage-cli --release -- conform --quick
 echo "==> parapage conform --concurrent --quick (schedule exploration)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
+echo "==> parapage conform --concurrent (bounded budget)"
+cargo run -q -p parapage-cli --release -- conform --concurrent --budget 16000
+
+echo "==> width-2 stress (PARAPAGE_THREADS=2)"
+PARAPAGE_THREADS=2 cargo test -q -p parapage-conform --test concurrent_stress
+
 echo "==> parapage chaos --quick (crash-recovery matrix)"
 cargo run -q -p parapage-cli --release -- chaos --quick
 
-echo "==> parapage chaos --quick --wal (WAL corruption matrix)"
-cargo run -q -p parapage-cli --release -- chaos --quick --wal
+echo "==> parapage chaos (full resume, snapshot and WAL matrices)"
+cargo run -q -p parapage-cli --release -- chaos
 
 echo "==> ops regression floors (release microbench pins)"
 cargo test -q -p parapage-bench --release --test ops_regression
@@ -45,6 +54,14 @@ cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
 echo "==> parapage drive --fault (recovery smoke: severed connections absorbed)"
 cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
   --batches 2 --fault cut-send --expect-clean
+
+echo "==> parapage drive (serve smoke at 200000 requests, 4 tenants)"
+cargo run -q -p parapage-cli --release -- drive --requests 200000 \
+  --tenants 4 --batches 3 --expect-clean
+
+echo "==> parapage drive --fault (recovery smoke at 100000 requests, 4 tenants)"
+cargo run -q -p parapage-cli --release -- drive --requests 100000 \
+  --tenants 4 --batches 3 --fault cut-send --expect-clean
 
 echo "==> loopbench self-tests"
 cargo test --release --offline --manifest-path loopbench/Cargo.toml
