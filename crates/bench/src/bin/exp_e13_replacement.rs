@@ -11,28 +11,35 @@ use parapage::prelude::*;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
-fn run_with(w: &Workload, params: &ModelParams, name: &str) -> u64 {
-    let opts = EngineOpts::default();
+/// DET-PAR's makespan with `cache(0)` inside every processor's boxes.
+fn makespan<C: Cache>(w: &Workload, params: &ModelParams, cache: fn(usize) -> C) -> u64 {
     let mut det = DetPar::new(params);
+    let opts = EngineOpts::default();
+    let plan = FaultPlan::none();
+    run_engine_with(
+        &mut det,
+        w.seqs(),
+        params,
+        &opts,
+        &plan,
+        |_| cache(0),
+        &mut NullSink,
+    )
+    .unwrap()
+    .makespan
+}
+
+fn run_with(w: &Workload, params: &ModelParams, name: &str) -> u64 {
     match name {
-        "LRU" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| LruCache::new(0)).unwrap(),
-        "FIFO" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| FifoCache::new(0)).unwrap()
-        }
-        "Clock" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| ClockCache::new(0)).unwrap()
-        }
-        "LFU" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| LfuCache::new(0)).unwrap(),
-        "ARC" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| ArcCache::new(0)).unwrap(),
-        "2Q" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| TwoQueueCache::new(0)).unwrap()
-        }
-        "LIRS" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| LirsCache::new(0)).unwrap()
-        }
+        "LRU" => makespan(w, params, LruCache::new),
+        "FIFO" => makespan(w, params, FifoCache::new),
+        "Clock" => makespan(w, params, ClockCache::new),
+        "LFU" => makespan(w, params, LfuCache::new),
+        "ARC" => makespan(w, params, ArcCache::new),
+        "2Q" => makespan(w, params, TwoQueueCache::new),
+        "LIRS" => makespan(w, params, LirsCache::new),
         _ => unreachable!(),
     }
-    .makespan
 }
 
 fn main() {

@@ -1,9 +1,8 @@
 //! # parapage-bench
 //!
 //! The benchmark/experiment harness: one binary per experiment in
-//! DESIGN.md's index (E1–E16, `src/bin/exp_*.rs`), Criterion microbenches
-//! for the substrate hot paths (`benches/`), and the [`suite`] behind
-//! `parapage bench`.
+//! DESIGN.md's index (E1–E16, `src/bin/exp_*.rs`) and the [`suite`] behind
+//! `parapage bench`, which times every substrate hot path.
 //!
 //! Every experiment binary accepts:
 //!

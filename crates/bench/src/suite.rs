@@ -29,6 +29,9 @@
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
+//! | `offline/belady-min`  | Belady MIN misses (the `T_OPT` lower bound)|
+//! | `offline/mattson-curve` | single-pass miss curve vs per-capacity LRU |
+//! | `offline/green-paging`| RAND-GREEN, ADAPT-GREEN and the green OPT DP |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
@@ -38,8 +41,12 @@
 //! hot-path rewrite (packed LRU, batched grant dispatch): their `runs`
 //! count individual operations (engine events / cache accesses), so
 //! `runs_per_sec_threads1` reads directly as ops/sec. Release builds are
-//! pinned against the floors in [`OPS_FLOORS`] by
-//! `bench/tests/ops_regression.rs` and by the `parapage bench` exit gate.
+//! pinned against the floors in [`OPS_FLOORS`] by the `parapage bench`
+//! exit gate.
+//!
+//! The three `offline/*` entries are single-thread too: the offline
+//! calculators behind the certified lower bounds and the green-paging
+//! experiments, each digesting its results.
 
 use std::time::Instant;
 
@@ -843,6 +850,79 @@ fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
+/// A single-processor zipf sequence over `universe` pages.
+fn zipf_sequence(seed: u64, universe: usize, theta: f64, len: usize) -> Vec<PageId> {
+    let mut b = SeqBuilder::new(ProcId(0), seed);
+    b.zipf(universe, theta, len);
+    b.build()
+}
+
+/// Entry 14: Belady MIN on a zipf and a cyclic-thrash sequence at one
+/// capacity: the per-processor component of the certified `T_OPT` lower
+/// bound. `runs` counts requests simulated.
+fn entry_offline_belady(quick: bool, seed: u64) -> EntryOut {
+    let n = if quick { 20_000 } else { 100_000 };
+    let zipf = zipf_sequence(seed, 2048, 0.8, n);
+    let cyclic: Vec<PageId> = (0..n).map(|i| PageId(i as u64 % 700)).collect();
+    let mut d = Digest::new();
+    d.write(&format!(
+        "zipf={} cyclic={}",
+        min_misses(&zipf, 256),
+        min_misses(&cyclic, 256)
+    ));
+    EntryOut::plain(2 * n, d.finish())
+}
+
+/// Entry 15: the single-pass Mattson miss curve, cross-checked against
+/// one LRU simulation per capacity (the work the curve saves the green
+/// OPT DP and the lower-bound calculator). `runs` counts requests
+/// analysed by the single pass.
+fn entry_offline_mattson(quick: bool, seed: u64) -> EntryOut {
+    let n = if quick { 20_000 } else { 100_000 };
+    let seq = zipf_sequence(seed, 2048, 0.8, n);
+    let curve = miss_curve(&seq, 512);
+    let mut d = Digest::new();
+    for cap in [1usize, 2, 4, 16, 64, 128, 256, 512] {
+        let mut cache = LruCache::new(cap);
+        let naive = seq.iter().filter(|&&p| !cache.access(p).is_hit()).count() as u64;
+        assert_eq!(naive, curve.misses(cap), "miss curve disagrees at {cap}");
+        d.write(&format!("cap={cap} misses={naive}"));
+    }
+    EntryOut::plain(n, d.finish())
+}
+
+/// Entry 16: green paging on one phase-changing sequence: RAND-GREEN and
+/// ADAPT-GREEN runs plus the offline OPT dynamic program (the Fenwick DP;
+/// the full recipe also runs the naive DP and checks that they agree).
+/// `runs` counts the three solvers.
+fn entry_offline_green(quick: bool, seed: u64) -> EntryOut {
+    let params = ModelParams::new(16, 128, 16);
+    let seq = crate::recipes::green_sequence(128, seed);
+    let rand = run_green(&mut RandGreen::new(&params, seed), &seq, &params);
+    let adaptive = run_green(&mut AdaptiveGreen::new(&params), &seq, &params);
+    let opt = green_opt_fast_normalized(&seq, &params);
+    if !quick {
+        let naive = green_opt_normalized(&seq, &params);
+        assert_eq!(naive.impact, opt.impact, "green OPT DPs disagree");
+    }
+    let mut d = Digest::new();
+    for (name, r) in [("rand", &rand), ("adaptive", &adaptive)] {
+        d.write(&format!(
+            "{name} impact={} elapsed={} stats={:?} boxes={}",
+            r.impact,
+            r.elapsed,
+            r.stats,
+            r.profile.len()
+        ));
+    }
+    d.write(&format!(
+        "opt impact={} boxes={}",
+        opt.impact,
+        opt.profile.len()
+    ));
+    EntryOut::plain(3, d.finish())
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -850,9 +930,8 @@ fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
 /// development host at the time they were pinned, so scheduler noise and
 /// slower CI hardware do not trip them — only a real hot-path regression
 /// (an extra hash probe per access, a lost batching path) should. They
-/// are meaningless for unoptimized builds; both consumers
-/// (`bench/tests/ops_regression.rs` and the `parapage bench` exit gate)
-/// skip them under `cfg(debug_assertions)`.
+/// are meaningless for unoptimized builds; their one consumer, the
+/// `parapage bench` exit gate, skips them under `cfg(debug_assertions)`.
 pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/engine-step", 50_000.0),
     ("ops/lru-access", 12_000_000.0),
@@ -943,7 +1022,7 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the
-/// regression-floor test drives this without paying for the full recipe.
+/// ops tests drive this without paying for the full recipe.
 pub fn run_ops_suite(quick: bool, seed: u64) -> SuiteReport {
     measure_recipe(OPS_RECIPE, quick, seed, 1)
 }
@@ -962,8 +1041,56 @@ pub fn run_suite(quick: bool, seed: u64, threads_par: usize) -> SuiteReport {
         ("server/wire-codec", false, entry_wire_codec),
         ("concurrent/sharded-access", true, entry_concurrent_sharded),
         ("concurrent/lockfree-index", true, entry_concurrent_lockfree),
+        ("offline/belady-min", false, entry_offline_belady),
+        ("offline/mattson-curve", false, entry_offline_mattson),
+        ("offline/green-paging", false, entry_offline_green),
     ];
     let full: Vec<(&'static str, bool, EntryFn)> =
         recipe.iter().chain(OPS_RECIPE.iter()).copied().collect();
     measure_recipe(&full, quick, seed, threads_par)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report whose only entries are the floored `ops/*` entries, each
+    /// measured at `rate(floor)` runs per second of the `threads(1)` leg.
+    fn ops_report(rate: impl Fn(f64) -> f64) -> SuiteReport {
+        let entries = OPS_FLOORS
+            .iter()
+            .map(|&(name, floor)| EntryResult {
+                name,
+                parallel: false,
+                runs: rate(floor) as usize,
+                secs_base: 1.0,
+                secs_par: 1.0,
+                digest_base: 0,
+                digest_par: 0,
+                bytes: None,
+            })
+            .collect();
+        SuiteReport {
+            entries,
+            threads_par: 1,
+            host_cores: 1,
+            quick: true,
+            seed: 42,
+        }
+    }
+
+    #[test]
+    fn ops_floor_failures_reports_only_rates_below_their_floor() {
+        let below = ops_report(|floor| floor - 1.0).ops_floor_failures();
+        let names: Vec<&str> = below.iter().map(|&(name, _, _)| name).collect();
+        let floored: Vec<&str> = OPS_FLOORS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, floored, "every rate below its floor is reported");
+        for &(name, rate, floor) in &below {
+            assert!(rate < floor, "{name}: {rate} reported against {floor}");
+        }
+        assert!(ops_report(|floor| floor).ops_floor_failures().is_empty());
+        assert!(ops_report(|floor| 2.0 * floor)
+            .ops_floor_failures()
+            .is_empty());
+    }
 }

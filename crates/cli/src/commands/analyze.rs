@@ -9,6 +9,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let path = args.require("trace")?;
     let max_cap: usize = args.get("max-cap", 256)?;
     let s: u64 = args.get("s", 16)?;
+    args.finish()?;
     let w = parapage::workloads::trace::load(std::path::Path::new(&path))
         .map_err(|e| format!("--trace {path}: {e}"))?;
 

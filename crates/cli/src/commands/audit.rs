@@ -11,6 +11,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
     let w = workload_from(args, &params)?;
     let slack: f64 = args.get("slack", 4.0)?;
+    args.finish()?;
 
     let mut det = DetPar::new(&params);
     let opts = EngineOpts {

@@ -1,10 +1,11 @@
 //! `parapage bench`: the perf-trajectory benchmark gate.
 //!
 //! Runs the fixed recipe in [`parapage_bench::suite`] — engine, sweep,
-//! checkpoint, server, concurrent, and single-thread `ops/*` hot paths,
-//! each once under `threads(1)` and once at the requested width — and
-//! emits `BENCH_5.json` (wall time, runs/sec, speedup vs the sequential
-//! leg, per-entry determinism verdicts) to the file named by `--out`.
+//! checkpoint, server, concurrent, and single-thread `offline/*` and
+//! `ops/*` hot paths, each once under `threads(1)` and once at the
+//! requested width — and emits `BENCH_5.json` (wall time, runs/sec,
+//! speedup vs the sequential leg, per-entry determinism verdicts) to the
+//! file named by `--out`.
 //! Without `--out` the report is printed and no file is written.
 //!
 //! Exit is non-zero when:
@@ -45,6 +46,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }
+    args.finish()?;
 
     println!(
         "benchmark suite ({}, seed {seed}): threads(1) vs threads({threads}) on {} core(s)\n",

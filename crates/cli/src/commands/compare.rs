@@ -10,6 +10,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
     let w = workload_from(args, &params)?;
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
     let opts = EngineOpts::default();
     let lb = opt_lower_bound(w.seqs(), params.k, params.s);
 

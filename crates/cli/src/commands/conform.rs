@@ -28,6 +28,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let len: usize = args.get("len", if quick { 600 } else { 2000 })?;
     let diff: usize = args.get("diff", if quick { 150 } else { 1000 })?;
+    args.finish()?;
 
     // The matrix workload mirrors the `mixed` family: heterogeneous
     // working-set widths so phases, strips, and partitions all get
@@ -145,6 +146,7 @@ fn exec_concurrent(args: &Args) -> Result<(), String> {
     let quick = args.flag("quick");
     let budget: usize = args.get("budget", if quick { 4_000 } else { 24_000 })?;
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
 
     println!("concurrent conformance: schedule exploration budget {budget}\n");
     let mut failures = 0usize;

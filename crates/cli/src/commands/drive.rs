@@ -21,6 +21,7 @@ use parapage_server::drive::{drive, DriveCfg};
 use parapage_server::server::{serve, ServeOpts};
 
 use crate::args::Args;
+use crate::common::model_with;
 
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
@@ -38,13 +39,14 @@ pub fn exec(args: &Args) -> Result<(), String> {
         })?),
         None => None,
     };
+    let params = model_with(args, defaults.p, defaults.k / defaults.p, defaults.s, false)?;
     let mut cfg = DriveCfg {
         tenants: args.get("tenants", defaults.tenants)?,
         batches: args.get("batches", defaults.batches)?,
         requests: args.get("requests", defaults.requests)?,
-        p: args.get("p", defaults.p)?,
-        k: args.get("k", defaults.k)?,
-        s: args.get("s", defaults.s)?,
+        p: params.p,
+        k: params.k,
+        s: params.s,
         policy: args
             .opt("policy")
             .unwrap_or_else(|| defaults.policy.clone()),
@@ -56,8 +58,18 @@ pub fn exec(args: &Args) -> Result<(), String> {
     };
     let expect_clean = args.flag("expect-clean");
     let spawn = args.flag("spawn");
-
     let addr = args.opt("addr");
+    args.finish()?;
+    // A run that serves nothing would pass `--expect-clean` vacuously.
+    let counts = [
+        ("tenants", cfg.tenants as u64),
+        ("batches", cfg.batches),
+        ("requests", cfg.requests),
+    ];
+    if let Some((flag, _)) = counts.iter().find(|&&(_, n)| n == 0) {
+        return Err(format!("--{flag} must be at least 1"));
+    }
+
     let local = match &addr {
         Some(a) => {
             if spawn {

@@ -22,6 +22,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let w = workload_from(args, &params)?;
     let policy = args.opt("policy").unwrap_or_else(|| "det-par".into());
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
     let opts = EngineOpts::default();
 
     let clean =

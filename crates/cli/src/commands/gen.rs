@@ -8,6 +8,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
     let w = workload_from(args, &params)?;
     let out = args.require("out")?;
+    args.finish()?;
     parapage::workloads::trace::save(&w, std::path::Path::new(&out))
         .map_err(|e| format!("--out {out}: {e}"))?;
     println!(

@@ -11,6 +11,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
     let w = workload_from(args, &params)?;
     let seeds: u64 = args.get("seeds", 8)?;
+    args.finish()?;
     let seq = &w.seqs()[0];
 
     let opt = green_opt_fast_normalized(seq, &params);

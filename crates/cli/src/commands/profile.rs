@@ -12,6 +12,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let w = workload_from(args, &params)?;
     let seed: u64 = args.get("seed", 42)?;
     let width: usize = args.get("width", 72)?;
+    args.finish()?;
     let seq = &w.seqs()[0];
 
     let opt = green_opt_fast_normalized(seq, &params);

@@ -17,6 +17,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         compartmentalized: args.flag("compartmentalized"),
         ..Default::default()
     };
+    args.finish()?;
 
     let res = run_named_policy(&policy, &w, &params, &opts, seed)?;
     let lb = per_proc_bound(w.seqs(), params.k, params.s);

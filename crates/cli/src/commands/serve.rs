@@ -42,6 +42,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         max_conns: args.get("max-conns", defaults.max_conns)?,
         busy_retry_ms: defaults.busy_retry_ms,
     };
+    args.finish()?;
     let handle = serve(addr.as_str(), opts).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "parapage serve: listening on {} (max {} tenants, epoch every {} ticks)",

@@ -149,5 +149,13 @@ pub fn run_named_policy_faults(
             BOX_POLICIES.join("|")
         )
     })?;
-    Ok(run_engine_faults(&mut *alloc, w.seqs(), params, opts, plan))
+    Ok(run_engine_with(
+        &mut *alloc,
+        w.seqs(),
+        params,
+        opts,
+        plan,
+        |_| LruCache::new(0),
+        &mut NullSink,
+    ))
 }

@@ -14,6 +14,8 @@
 //! ```
 //!
 //! Every subcommand prints an aligned table; see `parapage help` for flags.
+//! Each one reads all its flags and rejects an unknown one before it does
+//! any work, so a mistyped flag writes no file and opens no socket.
 
 mod args;
 mod commands;
@@ -56,13 +58,10 @@ fn main() -> ExitCode {
         "drive" => commands::drive::exec(&parsed),
         "analyze" => commands::analyze::exec(&parsed),
         "gen" => commands::gen::exec(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => parsed.finish().map(|()| println!("{}", commands::USAGE)),
         other => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
     };
-    match result.and_then(|()| parsed.finish()) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `parapage` binary: every subcommand runs, exits
 //! zero, and emits the expected table shapes; bad flags exit non-zero.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn parapage(args: &[&str]) -> (bool, String, String) {
     let exe = env!("CARGO_BIN_EXE_parapage");
@@ -293,4 +294,92 @@ fn chaos_net_cells_filter_runs_only_matching_cells() {
     let (ok, _, stderr) = parapage(&["chaos", "--quick", "--net", "--cells", "no-such-cell"]);
     assert!(!ok);
     assert!(stderr.contains("matched no cells"), "{stderr}");
+}
+
+/// Runs `parapage` in `dir`, killing it (and failing) if it outlives
+/// `deadline`: a command that serves before it rejects a flag must fail
+/// the test, not hang it.
+fn parapage_in(dir: &std::path::Path, args: &[&str], deadline: Duration) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_parapage"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn parapage");
+    let start = Instant::now();
+    while child.try_wait().expect("poll parapage").is_none() {
+        if start.elapsed() > deadline {
+            child.kill().expect("kill parapage");
+            panic!("{args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect parapage output")
+}
+
+/// Every command in `USAGE` reads all its flags and rejects an unknown
+/// one before doing any work: exit 2, nothing on stdout, no file written,
+/// no server left serving.
+#[test]
+fn every_command_rejects_an_unknown_flag_before_any_work() {
+    let (_, usage, _) = parapage(&["help"]);
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ").filter(|r| !r.starts_with(' ')))
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|c| c.chars().all(|ch| ch.is_ascii_lowercase()) && *c != "parapage")
+        .collect();
+    assert_eq!(commands.len(), 15, "{commands:?}");
+    let dir = std::env::temp_dir().join(format!("parapage_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for cmd in commands {
+        let extra: &[&str] = match cmd {
+            "gen" => &["--out", "gen.trace", "--sed", "3"],
+            "bench" => &["--quick", "--out", "bench.json", "--treads", "2"],
+            "analyze" => &["--trace", "missing.trace"],
+            "serve" => &["--addr", "127.0.0.1:0"],
+            _ => &[],
+        };
+        let args: Vec<&str> = [cmd]
+            .iter()
+            .chain(extra)
+            .chain(&["--zzbogus"])
+            .copied()
+            .collect();
+        let out = parapage_in(&dir, &args, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag --"), "{args:?}: {stderr}");
+        if !matches!(cmd, "gen" | "bench") {
+            assert!(
+                stderr.contains("unknown flag --zzbogus"),
+                "{args:?}: {stderr}"
+            );
+        }
+        assert!(out.stdout.is_empty(), "{args:?} printed {:?}", out.stdout);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `drive` validates its model and its counts before it spawns a server:
+/// a run that serves nothing cannot pass `--expect-clean`.
+#[test]
+fn drive_rejects_bad_model_and_zero_counts_before_spawning() {
+    for args in [
+        &["drive", "--p", "0"][..],
+        &["drive", "--p", "4", "--k", "2"],
+        &["drive", "--s", "1"],
+        &["drive", "--tenants", "0", "--expect-clean"],
+        &["drive", "--batches", "0", "--expect-clean"],
+        &["drive", "--requests", "0", "--expect-clean"],
+    ] {
+        let out = parapage_in(&std::env::temp_dir(), args, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed {:?}", out.stdout);
+    }
 }

@@ -9,12 +9,12 @@
 //! hammers the two simulators with generated workloads across all policies
 //! and fault scenarios, hunting for any event-level divergence.
 
-use parapage_cache::PageId;
+use parapage_cache::{LruCache, PageId};
 use parapage_core::{
     boxed_policy, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams, PhaseRecord,
 };
 use parapage_sched::{
-    run_engine_traced, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
+    run_engine_with, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 use rand::rngs::StdRng;
@@ -77,7 +77,7 @@ fn engine_runner(
         if reference {
             run_reference(alloc, seqs, params, opts, plan, rec)
         } else {
-            run_engine_traced(alloc, seqs, params, opts, plan, rec)
+            run_engine_with(alloc, seqs, params, opts, plan, |_| LruCache::new(0), rec)
         }
     };
     let mut phases = None;

@@ -18,8 +18,8 @@
 use parapage_cache::{LruCache, PageId};
 use parapage_core::{boxed_policy, FaultEvent, ModelParams};
 use parapage_sched::{
-    CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, Supervisor, SupervisorOpts,
-    TraceRecorder,
+    CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, Supervisor,
+    SupervisorOpts, TraceRecorder,
 };
 
 use crate::chaos::{Baseline, ChaosCell};
@@ -62,7 +62,7 @@ pub fn check_resume(
         ..SupervisorOpts::default()
     };
     let mut trace = TraceRecorder::new();
-    let supervised = Supervisor::new(sup_opts).run(
+    let supervised = Supervisor::new(sup_opts).run_controlled(
         seqs,
         params,
         opts,
@@ -74,6 +74,8 @@ pub fn check_resume(
         },
         |_| LruCache::new(0),
         &mut trace,
+        &mut MemStore::new(),
+        |_| EpochControl::Continue,
     );
     Ok(ChaosCell {
         label: format!("{policy}/{scenario}"),

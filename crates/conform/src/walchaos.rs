@@ -355,7 +355,7 @@ pub fn check_wal_corruption(
 
     let mut store = SabotagedStore::new(corruption);
     let mut trace = TraceRecorder::new();
-    let supervised = Supervisor::new(sup_opts).run_with_store(
+    let supervised = Supervisor::new(sup_opts).run_controlled(
         seqs,
         params,
         &opts,
@@ -365,6 +365,7 @@ pub fn check_wal_corruption(
         |_| LruCache::new(0),
         &mut trace,
         &mut store,
+        |_| EpochControl::Continue,
     );
 
     let mut violations = base.judge(&supervised, &trace, 1);

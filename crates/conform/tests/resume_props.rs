@@ -10,8 +10,8 @@ use parapage_cache::{Cache, Checkpoint, LruCache, ShardedLru, SnapWriter};
 use parapage_conform::{check_replay, check_resume, CONFORM_POLICIES};
 use parapage_core::{boxed_policy, ModelParams};
 use parapage_sched::{
-    CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, NullSink, Supervisor, SupervisorOpts,
-    TraceRecorder, WalCursor,
+    CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, NullSink,
+    Supervisor, SupervisorOpts, TraceRecorder, WalCursor,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 
@@ -332,7 +332,7 @@ proptest! {
         };
         let mut recovered_trace = TraceRecorder::new();
         let report = Supervisor::new(sup_opts)
-            .run(
+            .run_controlled(
                 &seqs,
                 &params,
                 &opts,
@@ -341,6 +341,8 @@ proptest! {
                 || boxed_policy(policy, &params, seed, false).unwrap(),
                 |_| LruCache::new(0),
                 &mut recovered_trace,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .map_err(|e| TestCaseError::fail(format!("{policy}: recovery failed: {e}")))?;
         prop_assert_eq!(&report.result, &baseline, "{} diverged", policy);
@@ -399,7 +401,7 @@ proptest! {
         };
         let mut recovered_trace = TraceRecorder::new();
         let report = Supervisor::new(sup_opts)
-            .run(
+            .run_controlled(
                 &seqs,
                 &params,
                 &opts,
@@ -408,6 +410,8 @@ proptest! {
                 || boxed_policy(policy, &params, seed, false).unwrap(),
                 make_cache,
                 &mut recovered_trace,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .map_err(|e| TestCaseError::fail(format!("{policy}: sharded recovery failed: {e}")))?;
         prop_assert_eq!(&report.result, &baseline, "{} diverged on sharded cache", policy);

@@ -89,11 +89,10 @@ pub mod prelude {
         RebootingGreen, SrptPartition, StaticPartition, UcpPartition, UniversalGreen, BOX_POLICIES,
     };
     pub use parapage_sched::{
-        capped_backoff, jittered_backoff, run_engine, run_engine_faults, run_engine_sharded,
-        run_engine_traced, run_engine_with, run_engine_with_faults, run_shared_lru, CrashPlan,
-        Engine, EngineError, EngineOpts, EngineSnapshot, FaultPlan, NullSink, RecoveryReport,
-        RunResult, SnapshotError, Supervisor, SupervisorError, SupervisorOpts, TraceEvent,
-        TraceRecorder, TraceSink, DEFAULT_MAX_TIME,
+        capped_backoff, jittered_backoff, run_engine, run_engine_sharded, run_engine_with,
+        run_shared_lru, CrashPlan, Engine, EngineError, EngineOpts, EngineSnapshot, FaultPlan,
+        NullSink, RecoveryReport, RunResult, SnapshotError, Supervisor, SupervisorError,
+        SupervisorOpts, TraceEvent, TraceRecorder, TraceSink, DEFAULT_MAX_TIME,
     };
     pub use parapage_workloads::{
         build_workload, fault_scenario, shared_hotset_workload, AdversarialConfig,

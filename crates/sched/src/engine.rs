@@ -34,10 +34,10 @@
 //! instance: every abnormal condition — a zero-duration grant, a memory
 //! limit violation, the time cap, event-time overflow — is returned as a
 //! typed [`EngineError`], so a single bad run can be observed and reported
-//! without killing a sweep. The [`run_engine_faults`] entry points
-//! additionally replay a deterministic [`FaultPlan`] (processor stalls,
-//! fetch-latency spikes, memory pressure) against the run; see
-//! [`crate::fault`] for the exact mechanics.
+//! without killing a sweep. [`run_engine_with`] additionally replays a
+//! deterministic [`FaultPlan`] (processor stalls, fetch-latency spikes,
+//! memory pressure) against the run; see [`crate::fault`] for the exact
+//! mechanics.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,7 +103,8 @@ impl Default for EngineOpts {
     }
 }
 
-/// Runs `alloc` against the request sequences and measures the outcome.
+/// Runs `alloc` against the request sequences and measures the outcome:
+/// the paper's model, with LRU inside every box, no faults and no trace.
 ///
 /// `seqs[x]` is processor `x`'s request sequence; `seqs.len()` must equal
 /// `params.p`.
@@ -117,13 +118,20 @@ pub fn run_engine(
     params: &ModelParams,
     opts: &EngineOpts,
 ) -> Result<RunResult, EngineError> {
-    run_engine_with(alloc, seqs, params, opts, |_| LruCache::new(0))
+    run_engine_with(
+        alloc,
+        seqs,
+        params,
+        opts,
+        &FaultPlan::none(),
+        |_| LruCache::new(0),
+        &mut NullSink,
+    )
 }
 
 /// Like [`run_engine`], but serving every processor's boxes through a
 /// concurrent sharded LRU ([`parapage_cache::ShardedLru`]) instead of the
-/// sequential [`LruCache`] — the engine integration for ROADMAP item 3's
-/// concurrent substrate. The engine drives each box single-threadedly, so
+/// sequential [`LruCache`]. The engine drives each box single-threadedly, so
 /// the run is exactly as deterministic as the sequential one; with one
 /// shard the results are identical to [`run_engine`] (pinned by a test).
 pub fn run_engine_sharded(
@@ -133,92 +141,38 @@ pub fn run_engine_sharded(
     opts: &EngineOpts,
     shards: usize,
 ) -> Result<RunResult, EngineError> {
-    run_engine_with(alloc, seqs, params, opts, |_| {
-        parapage_cache::ShardedLru::with_shards(0, shards)
-    })
-}
-
-/// Like [`run_engine`], but additionally replaying a [`FaultPlan`].
-pub fn run_engine_faults(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults(alloc, seqs, params, opts, faults, |_| LruCache::new(0))
-}
-
-/// Like [`run_engine`], but with a caller-chosen replacement policy inside
-/// the boxes: `cache_factory(x)` builds processor `x`'s (initially empty,
-/// zero-capacity) cache. The paper fixes LRU WLOG; this entry point lets
-/// experiment E13 quantify how much that choice matters in practice.
-pub fn run_engine_with<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    cache_factory: impl FnMut(usize) -> C,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults(alloc, seqs, params, opts, &FaultPlan::none(), cache_factory)
-}
-
-/// The full engine: caller-chosen replacement policy *and* fault injection.
-pub fn run_engine_with_faults<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-    cache_factory: impl FnMut(usize) -> C,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults_traced(
+    run_engine_with(
         alloc,
         seqs,
         params,
         opts,
-        faults,
-        cache_factory,
+        &FaultPlan::none(),
+        |_| parapage_cache::ShardedLru::with_shards(0, shards),
         &mut NullSink,
     )
 }
 
-/// Like [`run_engine_faults`], but additionally emitting every engine step
-/// to `sink` as a [`TraceEvent`] stream (see [`crate::trace`]). This is the
-/// entry point of the conformance oracle.
-pub fn run_engine_traced(
+/// The general engine runner: replays `faults` against the run (pass
+/// [`FaultPlan::none`] for none), serves processor `x`'s boxes through
+/// `cache_factory(x)` (an initially empty, zero-capacity cache; the paper
+/// fixes LRU WLOG, and experiment E13 swaps it), and emits every engine
+/// step to `sink` as a [`TraceEvent`] stream (pass [`NullSink`] to emit
+/// nothing; the conformance oracle passes a recorder). It drives the
+/// steppable [`Engine`] to completion; [`run_engine`] and
+/// [`run_engine_sharded`] call it.
+///
+/// # Errors
+/// As [`run_engine`].
+pub fn run_engine_with<'a, C: Cache>(
     alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
+    workload: impl Into<WorkloadRef<'a>>,
     params: &ModelParams,
     opts: &EngineOpts,
-    faults: &FaultPlan,
-    sink: &mut impl TraceSink,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults_traced(
-        alloc,
-        seqs,
-        params,
-        opts,
-        faults,
-        |_| LruCache::new(0),
-        sink,
-    )
-}
-
-/// The fully general engine: caller-chosen replacement policy, fault
-/// injection, *and* trace emission. All other entry points delegate here
-/// (and hence to the steppable [`Engine`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_with_faults_traced<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
+    faults: &'a FaultPlan,
     cache_factory: impl FnMut(usize) -> C,
     sink: &mut impl TraceSink,
 ) -> Result<RunResult, EngineError> {
-    let mut engine = Engine::new(alloc, seqs, params, opts, faults, cache_factory);
+    let mut engine = Engine::new(alloc, workload, params, opts, faults, cache_factory);
     while engine.step(alloc, sink)? {}
     Ok(engine.into_result(alloc))
 }
@@ -1152,6 +1106,18 @@ mod tests {
         let sharded_res =
             run_engine_sharded(&mut alloc, &seqs, &params, &EngineOpts::default(), 1).unwrap();
         assert_eq!(seq_res, sharded_res);
+        let mut alloc = DetPar::new(&params);
+        let general_res = run_engine_with(
+            &mut alloc,
+            &seqs,
+            &params,
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            |_| LruCache::new(0),
+            &mut NullSink,
+        )
+        .unwrap();
+        assert_eq!(seq_res, general_res);
     }
 
     #[test]
@@ -1392,14 +1358,26 @@ mod generic_engine_tests {
         let params = ModelParams::new(4, 32, 10);
         let w = seqs(4, 200, 12);
         let mut a1 = StaticPartition::new(&params);
-        let fifo = run_engine_with(&mut a1, &w, &params, &EngineOpts::default(), |_| {
-            FifoCache::new(0)
-        })
+        let fifo = run_engine_with(
+            &mut a1,
+            &w,
+            &params,
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            |_| FifoCache::new(0),
+            &mut NullSink,
+        )
         .unwrap();
         let mut a2 = StaticPartition::new(&params);
-        let arc = run_engine_with(&mut a2, &w, &params, &EngineOpts::default(), |_| {
-            ArcCache::new(0)
-        })
+        let arc = run_engine_with(
+            &mut a2,
+            &w,
+            &params,
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            |_| ArcCache::new(0),
+            &mut NullSink,
+        )
         .unwrap();
         assert_eq!(fifo.stats.accesses(), 800);
         assert_eq!(arc.stats.accesses(), 800);
@@ -1481,12 +1459,13 @@ mod trace_tests {
         let plain = run_engine(&mut a1, &w, &params, &EngineOpts::default()).unwrap();
         let mut a2 = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        let traced = run_engine_traced(
+        let traced = run_engine_with(
             &mut a2,
             &w,
             &params,
             &EngineOpts::default(),
             &FaultPlan::none(),
+            |_| LruCache::new(0),
             &mut rec,
         )
         .unwrap();
@@ -1537,12 +1516,13 @@ mod trace_tests {
         }]);
         let mut alloc = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        run_engine_traced(
+        run_engine_with(
             &mut alloc,
             &w,
             &params,
             &EngineOpts::default(),
             &plan,
+            |_| LruCache::new(0),
             &mut rec,
         )
         .unwrap();
@@ -1568,12 +1548,13 @@ mod trace_tests {
         let w = seqs(1, 32, 8);
         let mut alloc = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        let res = run_engine_traced(
+        let res = run_engine_with(
             &mut alloc,
             &w,
             &params,
             &EngineOpts::default(),
             &FaultPlan::none(),
+            |_| LruCache::new(0),
             &mut rec,
         )
         .unwrap();
@@ -1607,6 +1588,25 @@ mod fault_injection_tests {
             .collect()
     }
 
+    /// `alloc` over LRU boxes with default options, replaying `plan`.
+    fn run_faults(
+        alloc: &mut dyn BoxAllocator,
+        w: &[Vec<PageId>],
+        params: &ModelParams,
+        plan: &FaultPlan,
+    ) -> Result<RunResult, EngineError> {
+        let opts = EngineOpts::default();
+        run_engine_with(
+            alloc,
+            w,
+            params,
+            &opts,
+            plan,
+            |_| LruCache::new(0),
+            &mut NullSink,
+        )
+    }
+
     #[test]
     fn clean_plan_matches_plain_run() {
         let params = ModelParams::new(4, 32, 10);
@@ -1614,14 +1614,7 @@ mod fault_injection_tests {
         let mut a1 = StaticPartition::new(&params);
         let plain = run_engine(&mut a1, &w, &params, &EngineOpts::default()).unwrap();
         let mut a2 = StaticPartition::new(&params);
-        let faulted = run_engine_faults(
-            &mut a2,
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
+        let faulted = run_faults(&mut a2, &w, &params, &FaultPlan::none()).unwrap();
         assert_eq!(plain.makespan, faulted.makespan);
         assert_eq!(plain.stats, faulted.stats);
         assert_eq!(faulted.faults_injected, 0);
@@ -1643,7 +1636,7 @@ mod fault_injection_tests {
             until: window_end,
         }]);
         let mut a2 = StaticPartition::new(&params);
-        let res = run_engine_faults(&mut a2, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faults(&mut a2, &w, &params, &plan).unwrap();
         assert!(res.completions[0] >= window_end);
         assert_eq!(res.completions[1], clean.completions[1]);
         assert_eq!(res.faults_injected, 1);
@@ -1664,7 +1657,7 @@ mod fault_injection_tests {
             factor: 5,
         }]);
         let mut a2 = StaticPartition::new(&params);
-        let res = run_engine_faults(&mut a2, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faults(&mut a2, &w, &params, &plan).unwrap();
         assert!(res.makespan > clean.makespan);
         assert!(res.makespan >= 4 * 50 + 36);
         assert_eq!(res.stats, clean.stats);
@@ -1675,7 +1668,7 @@ mod fault_injection_tests {
             factor: 5,
         }]);
         let mut a3 = StaticPartition::new(&params);
-        let res2 = run_engine_faults(&mut a3, &w, &params, &EngineOpts::default(), &late).unwrap();
+        let res2 = run_faults(&mut a3, &w, &params, &late).unwrap();
         assert_eq!(res2.makespan, clean.makespan);
         assert_eq!(res2.faults_injected, 0);
     }
@@ -1703,8 +1696,7 @@ mod fault_injection_tests {
             at: 100,
             new_limit: 4,
         }]);
-        let err =
-            run_engine_faults(&mut Greedy, &w, &params, &EngineOpts::default(), &plan).unwrap_err();
+        let err = run_faults(&mut Greedy, &w, &params, &plan).unwrap_err();
         assert!(matches!(
             err,
             EngineError::MemoryLimitExceeded { limit: 4, .. }
@@ -1729,14 +1721,8 @@ mod fault_injection_tests {
             new_limit: 6,
         }]);
 
-        let raw_err = run_engine_faults(
-            &mut StaticPartition::new(&params),
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &plan,
-        )
-        .unwrap_err();
+        let raw_err =
+            run_faults(&mut StaticPartition::new(&params), &w, &params, &plan).unwrap_err();
         assert_eq!(
             raw_err,
             EngineError::MemoryLimitExceeded {
@@ -1747,8 +1733,7 @@ mod fault_injection_tests {
         );
 
         let mut hardened = HardenedAllocator::new(StaticPartition::new(&params), params.k);
-        let res =
-            run_engine_faults(&mut hardened, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faults(&mut hardened, &w, &params, &plan).unwrap();
         assert_eq!(
             res.stats.accesses(),
             2 * 400,
@@ -1774,14 +1759,7 @@ mod fault_injection_tests {
             until: 100,
             factor: u64::MAX,
         }]);
-        let err = run_engine_faults(
-            &mut StaticPartition::new(&params),
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &plan,
-        )
-        .unwrap_err();
+        let err = run_faults(&mut StaticPartition::new(&params), &w, &params, &plan).unwrap_err();
         assert!(matches!(err, EngineError::TimeOverflow { .. }));
     }
 }

@@ -87,9 +87,10 @@ mod error_path_tests {
     //! condition carries, so downstream harnesses can match on it.
 
     use super::*;
-    use crate::engine::{run_engine, run_engine_faults, EngineOpts};
+    use crate::engine::{run_engine, run_engine_with, EngineOpts};
     use crate::fault::FaultPlan;
-    use parapage_cache::{PageId, ProcId};
+    use crate::trace::NullSink;
+    use parapage_cache::{LruCache, PageId, ProcId};
     use parapage_core::{BoxAllocator, FaultEvent, Grant, ModelParams, StaticPartition};
 
     fn seqs(p: usize, len: usize, width: u64) -> Vec<Vec<PageId>> {
@@ -178,12 +179,14 @@ mod error_path_tests {
             at: 1,
             new_limit: 4,
         }]);
-        let err = run_engine_faults(
+        let err = run_engine_with(
             &mut StaticPartition::new(&params),
             &seqs(2, 400, 12),
             &params,
             &EngineOpts::default(),
             &plan,
+            |_| LruCache::new(0),
+            &mut NullSink,
         )
         .unwrap_err();
         match err {

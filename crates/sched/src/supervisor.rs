@@ -5,13 +5,13 @@
 //!
 //! 1. Step the engine for one *epoch* (a bounded number of events) inside
 //!    [`std::panic::catch_unwind`], with a wall-clock watchdog.
-//! 2. At each epoch boundary, checkpoint into a
-//!    [`CheckpointStore`](crate::wal::CheckpointStore): by default an
-//!    O(changes) WAL delta record appended after the current base snapshot
-//!    (see [`crate::wal`]), with a fresh O(state) full snapshot installed
-//!    as a new base every [`SupervisorOpts::full_snapshot_every`] epochs —
-//!    or every epoch when [`SupervisorOpts::wal`] is off. Both are written
-//!    straight from engine state into one buffer reused for the whole run
+//! 2. At each epoch boundary, checkpoint into a [`CheckpointStore`]: by
+//!    default an O(changes) WAL delta record appended after the current
+//!    base snapshot (see [`crate::wal`]), with a fresh O(state) full
+//!    snapshot installed as a new base every
+//!    [`SupervisorOpts::full_snapshot_every`] epochs — or every epoch
+//!    when [`SupervisorOpts::wal`] is off. Both are written straight from
+//!    engine state into one buffer reused for the whole run
 //!    ([`Engine::write_wal_delta`], [`Engine::write_snapshot`]).
 //! 3. On a crash (panic) or watchdog expiry, discard the poisoned engine
 //!    and policy, wait out an exponential backoff, build a **fresh** policy
@@ -53,7 +53,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
 use crate::snapshot::{SnapshotError, WorkloadRef};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::wal::{recover, CheckpointStore, MemStore, WalCursor};
+use crate::wal::{recover, CheckpointStore, WalCursor};
 
 /// Capped exponential backoff: `base * 2^attempt`, saturating at `cap`.
 /// `attempt` is 0-based (the first retry waits `base`). This is the one
@@ -385,7 +385,8 @@ impl Supervisor {
         Supervisor { opts }
     }
 
-    /// Runs the workload to completion under crash recovery.
+    /// Runs the workload to completion under crash recovery: the one entry
+    /// point of the supervisor.
     ///
     /// `policy_factory` must build a **deterministically identical** fresh
     /// policy on every call (same seed, same configuration): a crashed
@@ -394,6 +395,25 @@ impl Supervisor {
     /// [`BoxAllocator::restore`]. `crash_plan` injects deterministic
     /// panics at the named engine ticks (each fires once).
     ///
+    /// Checkpoints go into the caller-supplied [`CheckpointStore`] (a
+    /// fresh [`MemStore`](crate::wal::MemStore) for a plain run). That
+    /// store is the seam the chaos harness uses to corrupt what recovery
+    /// reads (torn tails, flipped bytes, stale bases), and the hook a
+    /// persistent server would use to keep checkpoints on disk. A store
+    /// holding a checkpoint from a previous run of the *same* workload
+    /// resumes it instead of starting over.
+    ///
+    /// At every epoch boundary, immediately *after* that epoch's checkpoint
+    /// reached the store, `control` inspects the run's [`EpochStatus`] and
+    /// may order [`EpochControl::Migrate`] (pass
+    /// `|_| EpochControl::Continue` to never migrate). The supervisor then
+    /// discards the live engine and policy wholesale and rebuilds both from
+    /// the checkpoint just written, exactly the `snapshot()/restore()`
+    /// recovery path, without burning a retry. This is the live-migration
+    /// seam the `parapage serve` tenant sessions use to move a tenant onto
+    /// a fresh engine mid-run; recovery determinism keeps the migrated
+    /// run's result and trace byte-identical to an unmigrated one.
+    ///
     /// # Errors
     /// [`SupervisorError::Engine`] immediately on a typed engine error
     /// (those are deterministic, retrying cannot help);
@@ -401,75 +421,6 @@ impl Supervisor {
     /// policy without checkpoint support); otherwise
     /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
     /// have been burned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run<'w, C: Cache + Checkpoint>(
-        &self,
-        workload: impl Into<WorkloadRef<'w>>,
-        params: &ModelParams,
-        opts: &EngineOpts,
-        faults: &FaultPlan,
-        crash_plan: &CrashPlan,
-        policy_factory: impl FnMut() -> Box<dyn BoxAllocator>,
-        cache_factory: impl FnMut(usize) -> C,
-        sink: &mut impl TraceSink,
-    ) -> Result<RecoveryReport, SupervisorError> {
-        let mut store = MemStore::new();
-        self.run_with_store(
-            workload,
-            params,
-            opts,
-            faults,
-            crash_plan,
-            policy_factory,
-            cache_factory,
-            sink,
-            &mut store,
-        )
-    }
-
-    /// Like [`Supervisor::run`], but checkpointing into a caller-supplied
-    /// [`CheckpointStore`] — the seam the chaos harness uses to corrupt
-    /// what recovery reads (torn tails, flipped bytes, stale bases), and
-    /// the hook a persistent server would use to keep checkpoints on disk.
-    /// A store holding a checkpoint from a previous run of the *same*
-    /// workload resumes it instead of starting over.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_store<'w, C: Cache + Checkpoint>(
-        &self,
-        workload: impl Into<WorkloadRef<'w>>,
-        params: &ModelParams,
-        opts: &EngineOpts,
-        faults: &FaultPlan,
-        crash_plan: &CrashPlan,
-        policy_factory: impl FnMut() -> Box<dyn BoxAllocator>,
-        cache_factory: impl FnMut(usize) -> C,
-        sink: &mut impl TraceSink,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<RecoveryReport, SupervisorError> {
-        self.run_controlled(
-            workload,
-            params,
-            opts,
-            faults,
-            crash_plan,
-            policy_factory,
-            cache_factory,
-            sink,
-            store,
-            |_| EpochControl::Continue,
-        )
-    }
-
-    /// Like [`Supervisor::run_with_store`], with an epoch control callback:
-    /// at every epoch boundary, immediately *after* that epoch's checkpoint
-    /// reached the store, `control` inspects the run's [`EpochStatus`] and
-    /// may order [`EpochControl::Migrate`] — the supervisor then discards
-    /// the live engine and policy wholesale and rebuilds both from the
-    /// checkpoint just written, exactly the `snapshot()/restore()` recovery
-    /// path, without burning a retry. This is the live-migration seam the
-    /// `parapage serve` tenant sessions use to move a tenant onto a fresh
-    /// engine mid-run; recovery determinism keeps the migrated run's result
-    /// and trace byte-identical to an unmigrated one.
     #[allow(clippy::too_many_arguments)]
     pub fn run_controlled<'w, C: Cache + Checkpoint>(
         &self,
@@ -667,8 +618,9 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_engine_with_faults_traced;
+    use crate::engine::run_engine_with;
     use crate::trace::TraceRecorder;
+    use crate::wal::MemStore;
     use parapage_cache::{LruCache, PageId, ProcId};
     use parapage_core::{DetPar, FaultEvent, RandPar};
 
@@ -699,7 +651,7 @@ mod tests {
     fn uninterrupted(seqs: &[Vec<PageId>], faults: &FaultPlan) -> (RunResult, Vec<TraceEvent>) {
         let mut alloc = DetPar::new(&params());
         let mut rec = TraceRecorder::new();
-        let result = run_engine_with_faults_traced(
+        let result = run_engine_with(
             &mut alloc,
             seqs,
             &params(),
@@ -712,23 +664,42 @@ mod tests {
         (result, rec.into_events())
     }
 
+    /// A DET-PAR run over LRU boxes under `opts`, checkpointing into a
+    /// fresh [`MemStore`] and never migrating.
+    fn supervise(
+        opts: SupervisorOpts,
+        seqs: &[Vec<PageId>],
+        faults: &FaultPlan,
+        crash_plan: &CrashPlan,
+        sink: &mut impl TraceSink,
+    ) -> Result<RecoveryReport, SupervisorError> {
+        Supervisor::new(opts).run_controlled(
+            seqs,
+            &params(),
+            &EngineOpts::default(),
+            faults,
+            crash_plan,
+            || Box::new(DetPar::new(&params())),
+            |_| LruCache::new(0),
+            sink,
+            &mut MemStore::new(),
+            |_| EpochControl::Continue,
+        )
+    }
+
     #[test]
     fn crash_free_supervised_run_matches_plain_run() {
         let seqs = seqs();
         let (want, want_trace) = uninterrupted(&seqs, &FaultPlan::none());
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("supervised run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            &CrashPlan::none(),
+            &mut rec,
+        )
+        .expect("supervised run");
         assert_eq!(report.crashes, 0);
         assert_eq!(report.result, want);
         assert_eq!(rec.into_events(), want_trace);
@@ -752,18 +723,14 @@ mod tests {
         let (want, want_trace) = uninterrupted(&seqs, &faults);
         // Learn the run's length from a crash-free supervised probe, then
         // crash at early/middle/late ticks of it.
-        let probe = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &faults,
-                &CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-            )
-            .expect("probe run");
+        let probe = supervise(
+            tiny_opts(),
+            &seqs,
+            &faults,
+            &CrashPlan::none(),
+            &mut crate::trace::NullSink,
+        )
+        .expect("probe run");
         let total = probe.ticks;
         assert!(total >= 12, "premise: run long enough to crash into");
         let crash_ticks = vec![2, total / 2, total / 2 + 1, total - 2];
@@ -778,18 +745,14 @@ mod tests {
             ..tiny_opts()
         };
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(opts)
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &faults,
-                &CrashPlan::at_ticks(crash_ticks),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("recovered run");
+        let report = supervise(
+            opts,
+            &seqs,
+            &faults,
+            &CrashPlan::at_ticks(crash_ticks),
+            &mut rec,
+        )
+        .expect("recovered run");
         assert_eq!(report.crashes, n_crashes);
         assert!(report.resumes >= n_crashes - 1, "late crashes resume");
         assert_eq!(report.result, want, "recovered result must be identical");
@@ -802,7 +765,7 @@ mod tests {
         let mk = || RandPar::new(&params(), 0xfeed);
         let mut alloc = mk();
         let mut rec = TraceRecorder::new();
-        let want = run_engine_with_faults_traced(
+        let want = run_engine_with(
             &mut alloc,
             &seqs,
             &params(),
@@ -816,7 +779,7 @@ mod tests {
 
         let mut rec = TraceRecorder::new();
         let report = Supervisor::new(tiny_opts())
-            .run(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -825,6 +788,8 @@ mod tests {
                 move || Box::new(mk()),
                 |_| LruCache::new(0),
                 &mut rec,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .expect("recovered run");
         assert_eq!(report.crashes, 2);
@@ -841,18 +806,14 @@ mod tests {
         let seqs = seqs();
         let (want, want_trace) = uninterrupted(&seqs, &FaultPlan::none());
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![20, 24]),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("doubly-crashed run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            &CrashPlan::at_ticks(vec![20, 24]),
+            &mut rec,
+        )
+        .expect("doubly-crashed run");
         assert_eq!(report.crashes, 2);
         assert_eq!(report.resumes, 2, "both crashes resume from checkpoints");
         assert_eq!(report.result, want);
@@ -958,18 +919,14 @@ mod tests {
             })
             .collect();
         let run = |wal: bool| {
-            Supervisor::new(SupervisorOpts { wal, ..tiny_opts() })
-                .run(
-                    &seqs,
-                    &params(),
-                    &EngineOpts::default(),
-                    &FaultPlan::none(),
-                    &CrashPlan::none(),
-                    || Box::new(DetPar::new(&params())),
-                    |_| LruCache::new(0),
-                    &mut crate::trace::NullSink,
-                )
-                .expect("supervised run")
+            supervise(
+                SupervisorOpts { wal, ..tiny_opts() },
+                &seqs,
+                &FaultPlan::none(),
+                &CrashPlan::none(),
+                &mut crate::trace::NullSink,
+            )
+            .expect("supervised run")
         };
         let full = run(false);
         let wal = run(true);
@@ -998,7 +955,7 @@ mod tests {
             ..tiny_opts()
         };
         let err = Supervisor::new(opts)
-            .run_with_store(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -1008,12 +965,13 @@ mod tests {
                 |_| LruCache::new(0),
                 &mut crate::trace::NullSink,
                 &mut store,
+                |_| EpochControl::Continue,
             )
             .expect_err("zero retries: the injected crash is fatal");
         assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
         let mut rec = TraceRecorder::new();
         let report = Supervisor::new(tiny_opts())
-            .run_with_store(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -1023,6 +981,7 @@ mod tests {
                 |_| LruCache::new(0),
                 &mut rec,
                 &mut store,
+                |_| EpochControl::Continue,
             )
             .expect("second process finishes the run");
         assert_eq!(report.crashes, 0);
@@ -1042,18 +1001,14 @@ mod tests {
             ..tiny_opts()
         };
         // More injected crashes than the budget tolerates.
-        let err = Supervisor::new(opts)
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![1, 2, 3, 4]),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-            )
-            .expect_err("budget must run out");
+        let err = supervise(
+            opts,
+            &seqs,
+            &FaultPlan::none(),
+            &CrashPlan::at_ticks(vec![1, 2, 3, 4]),
+            &mut crate::trace::NullSink,
+        )
+        .expect_err("budget must run out");
         match err {
             SupervisorError::RetriesExhausted { crashes, .. } => assert_eq!(crashes, 3),
             other => panic!("wrong error: {other:?}"),
@@ -1088,7 +1043,7 @@ mod tests {
         }
         let seqs = seqs();
         let err = Supervisor::new(tiny_opts())
-            .run(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -1097,6 +1052,8 @@ mod tests {
                 || Box::new(NoCkpt(DetPar::new(&params()))),
                 |_| LruCache::new(0),
                 &mut crate::trace::NullSink,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .expect_err("checkpoint-less policy cannot be supervised");
         assert!(matches!(err, SupervisorError::Snapshot(_)), "got {err:?}");

@@ -12,8 +12,8 @@
 //!
 //! Tracing is zero-cost when disabled: the default entry points pass
 //! [`NullSink`], whose `emit` is an inlined no-op, so the event
-//! constructions are dead code the optimizer removes. The traced entry
-//! points ([`crate::engine::run_engine_traced`] and friends) are generic
+//! constructions are dead code the optimizer removes. The general
+//! runner ([`crate::engine::run_engine_with`]) is generic
 //! over the sink, so enabling tracing costs one vector push per event and
 //! nothing else.
 //!

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use parapage_cache::{ProcId, Time};
+use parapage_cache::{LruCache, ProcId, Time};
 use parapage_core::{DetPar, FaultEvent, HardenedAllocator, ModelParams};
-use parapage_sched::{run_engine_faults, EngineOpts, FaultPlan, RunResult};
+use parapage_sched::{run_engine_with, EngineError, EngineOpts, FaultPlan, NullSink, RunResult};
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, Workload, FAULT_SCENARIOS};
 
 const P: usize = 4;
@@ -57,18 +57,32 @@ fn event_strategy() -> impl Strategy<Value = FaultEvent> {
     ]
 }
 
+/// Hardened DET-PAR over LRU boxes on `w`, replaying `plan`.
+fn run_hardened(
+    w: &Workload,
+    plan: &FaultPlan,
+    opts: &EngineOpts,
+) -> Result<RunResult, EngineError> {
+    let params = ModelParams::new(P, K, S);
+    let mut a = HardenedAllocator::new(DetPar::new(&params), K);
+    run_engine_with(
+        &mut a,
+        w.seqs(),
+        &params,
+        opts,
+        plan,
+        |_| LruCache::new(0),
+        &mut NullSink,
+    )
+}
+
 #[test]
 fn named_scenarios_replay_identically() {
     let w = small_workload(11);
-    let params = ModelParams::new(P, K, S);
     let horizon: Time = 20_000;
     for &name in FAULT_SCENARIOS {
         let plan = FaultPlan::new(fault_scenario(name, P, K, horizon, 7).unwrap());
-        let run = || {
-            let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-            run_engine_faults(&mut a, w.seqs(), &params, &EngineOpts::default(), &plan)
-                .expect("hardened run failed")
-        };
+        let run = || run_hardened(&w, &plan, &EngineOpts::default()).expect("hardened run failed");
         assert_same_result(&run(), &run());
     }
 }
@@ -84,12 +98,8 @@ proptest! {
         wseed in 0u64..1_000,
     ) {
         let w = small_workload(wseed);
-        let params = ModelParams::new(P, K, S);
         let plan = FaultPlan::new(events);
-        let run = || {
-            let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-            run_engine_faults(&mut a, w.seqs(), &params, &EngineOpts::default(), &plan)
-        };
+        let run = || run_hardened(&w, &plan, &EngineOpts::default());
         match (run(), run()) {
             (Ok(a), Ok(b)) => assert_same_result(&a, &b),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
@@ -106,15 +116,12 @@ proptest! {
         wseed in 0u64..1_000,
     ) {
         let w = small_workload(wseed);
-        let params = ModelParams::new(P, K, S);
         let plan = FaultPlan::new(events);
         let opts = EngineOpts {
             memory_limit: Some(K),
             ..Default::default()
         };
-        let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-        let res = run_engine_faults(&mut a, w.seqs(), &params, &opts, &plan);
-        let res = match res {
+        let res = match run_hardened(&w, &plan, &opts) {
             Ok(r) => r,
             Err(e) => return Err(TestCaseError::fail(format!("hardened run failed: {e}"))),
         };

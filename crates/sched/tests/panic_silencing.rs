@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use parapage_cache::{LruCache, PageId, ProcId};
 use parapage_core::{DetPar, ModelParams};
-use parapage_sched::{CrashPlan, EngineOpts, FaultPlan, NullSink, Supervisor, SupervisorOpts};
+use parapage_sched::{
+    CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, Supervisor, SupervisorOpts,
+};
 
 fn params() -> ModelParams {
     ModelParams::new(4, 32, 8)
@@ -37,7 +39,7 @@ fn killed_run(seqs: &[Vec<PageId>]) -> u32 {
         silence_panics: true,
         ..SupervisorOpts::default()
     });
-    sup.run(
+    sup.run_controlled(
         seqs,
         &params(),
         &EngineOpts::default(),
@@ -46,6 +48,8 @@ fn killed_run(seqs: &[Vec<PageId>]) -> u32 {
         || Box::new(DetPar::new(&params())),
         |_| LruCache::new(0),
         &mut NullSink,
+        &mut MemStore::new(),
+        |_| EpochControl::Continue,
     )
     .expect("supervised run recovers")
     .crashes

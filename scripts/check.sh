@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate and the whole of CI: formatting, lints, the full test
 # suite, the conformance oracle, every chaos matrix, the serve smokes,
-# the ops floors, the bench smoke, and the loopback benchmark's
-# correctness smoke. Run from anywhere; works on the repo this script
+# the bench smoke (which also enforces the ops floors), and the loopback
+# benchmark's correctness smoke. Run from anywhere; works on the repo this script
 # lives in. The bench smoke's JSON report lands in
 # /tmp/parapage-bench-smoke.json.
 set -euo pipefail
@@ -37,9 +37,6 @@ cargo run -q -p parapage-cli --release -- chaos --quick
 
 echo "==> parapage chaos (full resume, snapshot and WAL matrices)"
 cargo run -q -p parapage-cli --release -- chaos
-
-echo "==> ops regression floors (release microbench pins)"
-cargo test -q -p parapage-bench --release --test ops_regression
 
 echo "==> parapage bench --quick (smoke + determinism + ops-floor gate)"
 cargo run -q -p parapage-cli --release -- bench --quick --out /tmp/parapage-bench-smoke.json

@@ -107,32 +107,26 @@ fn lru_wlog_spread_is_bounded_on_cyclic_workloads() {
     // makespan by at most a small constant on loop workloads.
     let p = params();
     let w = skewed(1500);
-    let opts = EngineOpts::default();
-    let mut mk = Vec::new();
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| LruCache::new(0))
-                .unwrap()
-                .makespan,
-        );
+    fn makespan<C: Cache>(w: &Workload, p: &ModelParams, cache: fn(usize) -> C) -> u64 {
+        let mut det = DetPar::new(p);
+        let (opts, plan) = (EngineOpts::default(), FaultPlan::none());
+        run_engine_with(
+            &mut det,
+            w.seqs(),
+            p,
+            &opts,
+            &plan,
+            |_| cache(0),
+            &mut NullSink,
+        )
+        .unwrap()
+        .makespan
     }
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| FifoCache::new(0))
-                .unwrap()
-                .makespan,
-        );
-    }
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| ClockCache::new(0))
-                .unwrap()
-                .makespan,
-        );
-    }
+    let mk = [
+        makespan(&w, &p, LruCache::new),
+        makespan(&w, &p, FifoCache::new),
+        makespan(&w, &p, ClockCache::new),
+    ];
     let lo = *mk.iter().min().unwrap() as f64;
     let hi = *mk.iter().max().unwrap() as f64;
     assert!(hi / lo < 3.0, "spread {mk:?}");

@@ -27,6 +27,25 @@ fn workload(len: usize) -> Workload {
     build_workload(&specs, 2024)
 }
 
+/// `alloc` over LRU boxes with default options, replaying `plan`.
+fn run_faults(
+    alloc: &mut dyn BoxAllocator,
+    w: &Workload,
+    p: &ModelParams,
+    plan: &FaultPlan,
+) -> Result<RunResult, EngineError> {
+    let opts = EngineOpts::default();
+    run_engine_with(
+        alloc,
+        w.seqs(),
+        p,
+        &opts,
+        plan,
+        |_| LruCache::new(0),
+        &mut NullSink,
+    )
+}
+
 /// Pressure from t=0 shrinks the cache to k' = k/4. DET-PAR's schedule is
 /// built for k, so the unwrapped policy must hit the typed limit error —
 /// not a panic, not a silent wrong answer.
@@ -40,14 +59,7 @@ fn raw_det_par_trips_the_shrunk_memory_limit() {
         new_limit: k_prime,
     }]);
 
-    let err = run_engine_faults(
-        &mut DetPar::new(&p),
-        w.seqs(),
-        &p,
-        &EngineOpts::default(),
-        &plan,
-    )
-    .unwrap_err();
+    let err = run_faults(&mut DetPar::new(&p), &w, &p, &plan).unwrap_err();
     assert!(
         matches!(err, EngineError::MemoryLimitExceeded { limit, .. } if limit == k_prime),
         "expected MemoryLimitExceeded at {k_prime}, got: {err}"
@@ -67,7 +79,7 @@ fn hardened_det_par_completes_within_the_shrunk_budget() {
     }]);
 
     let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-    let res = run_engine_faults(&mut hard, w.seqs(), &p, &EngineOpts::default(), &plan)
+    let res = run_faults(&mut hard, &w, &p, &plan)
         .expect("hardened DET-PAR must survive memory pressure");
 
     assert_eq!(res.stats.accesses(), w.total_requests());
@@ -98,14 +110,14 @@ fn mid_run_pressure_is_survivable_only_when_hardened() {
         new_limit: p.k / 4,
     }]);
 
-    let raw = run_engine_faults(&mut DetPar::new(&p), w.seqs(), &p, &opts, &plan);
+    let raw = run_faults(&mut DetPar::new(&p), &w, &p, &plan);
     assert!(
         matches!(raw, Err(EngineError::MemoryLimitExceeded { .. })),
         "raw DET-PAR should oversubscribe after mid-run pressure"
     );
 
     let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-    let res = run_engine_faults(&mut hard, w.seqs(), &p, &opts, &plan)
+    let res = run_faults(&mut hard, &w, &p, &plan)
         .expect("hardened DET-PAR must survive mid-run pressure");
     assert_eq!(res.stats.accesses(), w.total_requests());
     assert!(
@@ -133,7 +145,7 @@ fn all_named_scenarios_run_hardened_to_completion() {
             .expect("scenario names are exhaustive");
         let plan = FaultPlan::new(events);
         let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-        let res = run_engine_faults(&mut hard, w.seqs(), &p, &opts, &plan)
+        let res = run_faults(&mut hard, &w, &p, &plan)
             .unwrap_or_else(|e| panic!("scenario {name} failed hardened: {e}"));
         assert_eq!(res.stats.accesses(), w.total_requests(), "scenario {name}");
     }
