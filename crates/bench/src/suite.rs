@@ -25,7 +25,6 @@
 //! | `checkpoint/wal-delta`| per-epoch incremental WAL delta cost       |
 //! | `server/wire-codec`   | serve protocol frame encode/verify/decode  |
 //! | `concurrent/sharded-access` | pool workers on one shared sharded LRU |
-//! | `concurrent/lockfree-index` | pool workers on one shared lock-free map |
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
@@ -715,49 +714,7 @@ fn entry_concurrent_sharded(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(UNITS * per, d.finish())
 }
 
-/// Entry 10: the lock-free split-ordered index under pool-wide churn. Every
-/// worker insert/probe/removes over its own disjoint key range of one
-/// shared [`SplitOrderedMap`], so the CAS paths, bucket splits, and epoch
-/// reclamation all see real contention while each unit's observable
-/// results (and hence the digest) remain schedule-independent.
-fn entry_concurrent_lockfree(quick: bool, seed: u64) -> EntryOut {
-    use rayon::prelude::*;
-    const UNITS: usize = 8;
-    let per = if quick { 3_000 } else { 15_000 };
-    let map = SplitOrderedMap::with_config(4, 4);
-    let units: Vec<u64> = (0..UNITS as u64).collect();
-    let outs: Vec<(u64, u64, u64)> = units
-        .par_iter()
-        .map(|&u| {
-            let base = u << 32;
-            let (mut inserted, mut present, mut removed) = (0u64, 0u64, 0u64);
-            for i in 0..per as u64 {
-                let k = base + (i.wrapping_mul(2654435761).wrapping_add(seed)) % 4096;
-                if map.insert(PageId(k), i) {
-                    inserted += 1;
-                }
-                if map.contains(PageId(k)) {
-                    present += 1;
-                }
-                if i % 3 == 0 && map.remove(PageId(k)) {
-                    removed += 1;
-                }
-            }
-            (inserted, present, removed)
-        })
-        .collect();
-    let mut d = Digest::new();
-    for (u, (i, p, r)) in outs.iter().enumerate() {
-        d.write(&format!("unit={u} inserted={i} present={p} removed={r}"));
-    }
-    // bucket_count() stays out of the digest: grows trigger on transient
-    // global-size peaks, which are schedule-dependent across pool widths.
-    // len and the per-unit counters are fixed by the disjoint key ranges.
-    d.write(&format!("len={}", map.len()));
-    EntryOut::plain(UNITS * per, d.finish())
-}
-
-/// Entry 11: raw engine event throughput. One det-par run stepped to
+/// Entry 10: raw engine event throughput. One det-par run stepped to
 /// completion with a null sink and no checkpoint traffic; `runs` counts
 /// events processed (the engine's tick clock), so `runs_per_sec_threads1`
 /// reads as engine events per second. This is the number the batched
@@ -802,7 +759,7 @@ fn ops_access_page(x: &mut u64, capacity: u64) -> PageId {
     }
 }
 
-/// Entry 12: packed-LRU access throughput — the innermost operation of
+/// Entry 11: packed-LRU access throughput — the innermost operation of
 /// every simulated request, measured bare: one `LruCache`, one thread,
 /// a mixed hit/miss stream. `runs` counts accesses.
 fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
@@ -824,7 +781,7 @@ fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
-/// Entry 13: sharded-LRU access throughput on a single thread — the same
+/// Entry 12: sharded-LRU access throughput on a single thread — the same
 /// stream as `ops/lru-access` but through [`ShardedLru`]'s route + lock +
 /// access path, isolating the sharding overhead from contention (which
 /// `concurrent/sharded-access` measures separately).
@@ -857,7 +814,7 @@ fn zipf_sequence(seed: u64, universe: usize, theta: f64, len: usize) -> Vec<Page
     b.build()
 }
 
-/// Entry 14: Belady MIN on a zipf and a cyclic-thrash sequence at one
+/// Entry 13: Belady MIN on a zipf and a cyclic-thrash sequence at one
 /// capacity: the per-processor component of the certified `T_OPT` lower
 /// bound. `runs` counts requests simulated.
 fn entry_offline_belady(quick: bool, seed: u64) -> EntryOut {
@@ -873,7 +830,7 @@ fn entry_offline_belady(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * n, d.finish())
 }
 
-/// Entry 15: the single-pass Mattson miss curve, cross-checked against
+/// Entry 14: the single-pass Mattson miss curve, cross-checked against
 /// one LRU simulation per capacity (the work the curve saves the green
 /// OPT DP and the lower-bound calculator). `runs` counts requests
 /// analysed by the single pass.
@@ -891,7 +848,7 @@ fn entry_offline_mattson(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(n, d.finish())
 }
 
-/// Entry 16: green paging on one phase-changing sequence: RAND-GREEN and
+/// Entry 15: green paging on one phase-changing sequence: RAND-GREEN and
 /// ADAPT-GREEN runs plus the offline OPT dynamic program (the Fenwick DP;
 /// the full recipe also runs the naive DP and checks that they agree).
 /// `runs` counts the three solvers.
@@ -1040,7 +997,6 @@ pub fn run_suite(quick: bool, seed: u64, threads_par: usize) -> SuiteReport {
         ("checkpoint/wal-delta", false, entry_ckpt_wal),
         ("server/wire-codec", false, entry_wire_codec),
         ("concurrent/sharded-access", true, entry_concurrent_sharded),
-        ("concurrent/lockfree-index", true, entry_concurrent_lockfree),
         ("offline/belady-min", false, entry_offline_belady),
         ("offline/mattson-curve", false, entry_offline_mattson),
         ("offline/green-paging", false, entry_offline_green),

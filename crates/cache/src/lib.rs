@@ -23,10 +23,9 @@
 //! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
 //!   approximating the miss curve at a fraction of the cost for long
 //!   traces.
-//! * [`concurrent`] — concurrently-accessible caches behind the same
-//!   [`Cache`] trait: a sharded fine-grained-locking baseline plus a
-//!   lock-free split-ordered hash index with epoch-based reclamation,
-//!   instrumented with yield points for schedule exploration.
+//! * [`sharded`] — [`ShardedCache`], a cache split into independently
+//!   locked sequential shards behind the same [`Cache`] trait, with
+//!   per-shard access ledgers for replay checks.
 //! * [`window`] — simulation of one *memory box*: run a request sequence
 //!   through an LRU cache of height `h` for a time budget, which is the inner
 //!   loop of every paging algorithm in the paper.
@@ -41,7 +40,6 @@ pub mod arc;
 pub mod belady;
 pub mod checkpoint;
 pub mod clock;
-pub mod concurrent;
 pub mod fenwick;
 pub mod fifo;
 pub mod lfu;
@@ -50,6 +48,7 @@ pub mod lru;
 pub mod mattson;
 pub mod policy;
 pub mod sampling;
+pub mod sharded;
 pub mod stats;
 pub mod testshim;
 pub mod two_queue;
@@ -64,7 +63,6 @@ pub use checkpoint::{
     SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
 };
 pub use clock::ClockCache;
-pub use concurrent::{LockFreeFifoCache, ShardedCache, ShardedLru, SplitOrderedMap};
 pub use fenwick::Fenwick;
 pub use fifo::FifoCache;
 pub use lfu::LfuCache;
@@ -73,6 +71,7 @@ pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve};
 pub use policy::{Access, Cache};
 pub use sampling::{sampled_miss_curve, SampledCurve};
+pub use sharded::{shard_capacity, ShardedCache, ShardedLru};
 pub use stats::CacheStats;
 pub use testshim::MapLru;
 pub use two_queue::TwoQueueCache;

@@ -8,15 +8,13 @@
 //!   shard's sequential twin with the routed subsequence;
 //! * the exclusive (`&mut`, lock-free) path and the shared (`&self`,
 //!   locking) path give identical outcomes, resident counts, shard
-//!   contents and ledgers on the same stream;
-//! * the lock-free FIFO tracks the sequential FIFO op-for-op, snapshot
-//!   bytes included, so their blobs cross-load.
+//!   contents and ledgers on the same stream.
 
 use proptest::prelude::*;
 
 use parapage_cache::{
-    concurrent::shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
-    LockFreeFifoCache, LruCache, PageId, ShardedCache, SnapReader, SnapWriter, TwoQueueCache,
+    shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache, LruCache, PageId,
+    ShardedCache, SnapReader, SnapWriter, TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -123,9 +121,9 @@ proptest! {
     }
 
     /// The exclusive path (the `Cache` trait's `&mut` methods, which skip
-    /// the shard locks) and the shared path (`access_shared` /
-    /// `access_if_fits_shared`) are the same cache: on one stream of
-    /// accesses, fit-checked accesses, resizes and clears, with ledger
+    /// the shard locks) and the shared path (`access_shared`) are the same
+    /// cache: on one stream of accesses, fit-checked accesses (which both
+    /// caches take through `&mut`), resizes and clears, with ledger
     /// recording on, they return identical outcomes, report identical
     /// resident counts (`len_mut` and `len_shared`) after every operation,
     /// hold identical shard contents (`save` and `save_mut` alike) and
@@ -160,10 +158,7 @@ proptest! {
                 _ => {
                     let penalty = 1 + u64::from(op % 4);
                     let outcome = exclusive.access_if_fits(page, remaining, penalty);
-                    prop_assert_eq!(
-                        outcome,
-                        shared.access_if_fits_shared(page, remaining, penalty)
-                    );
+                    prop_assert_eq!(outcome, shared.access_if_fits(page, remaining, penalty));
                     happened += usize::from(outcome.is_some());
                 }
             }
@@ -182,39 +177,5 @@ proptest! {
         let ledgers = exclusive.take_ledgers();
         prop_assert_eq!(ledgers.iter().map(Vec::len).sum::<usize>(), happened);
         prop_assert_eq!(ledgers, shared.take_ledgers());
-    }
-
-    /// The lock-free FIFO is a drop-in for the sequential FIFO on any
-    /// single-threaded trace: same outcomes, same residents, and snapshot
-    /// blobs that load into each other.
-    #[test]
-    fn lock_free_fifo_tracks_sequential_fifo(
-        seq in seq_strategy(250, 20),
-        cap in 0usize..12,
-    ) {
-        let mut plain = FifoCache::new(cap);
-        let mut lock_free = LockFreeFifoCache::new(cap);
-        for &page in &seq {
-            prop_assert_eq!(plain.access(page), lock_free.access(page), "{:?}", page);
-        }
-        prop_assert_eq!(plain.len(), lock_free.len());
-        let (a, b) = (snapshot_bytes(&plain), snapshot_bytes(&lock_free));
-        prop_assert_eq!(&a, &b, "snapshot bytes differ");
-
-        // Cross-load both directions, then verify observable agreement.
-        let mut from_plain = LockFreeFifoCache::new(0);
-        from_plain
-            .load(&mut SnapReader::new(&a))
-            .map_err(|e| TestCaseError::fail(format!("fifo blob -> lock-free: {e}")))?;
-        let mut from_lock_free = FifoCache::new(0);
-        from_lock_free
-            .load(&mut SnapReader::new(&b))
-            .map_err(|e| TestCaseError::fail(format!("lock-free blob -> fifo: {e}")))?;
-        for &page in &seq {
-            prop_assert_eq!(from_plain.contains(page), plain.contains(page));
-            prop_assert_eq!(from_lock_free.contains(page), plain.contains(page));
-        }
-        prop_assert_eq!(snapshot_bytes(&from_plain), a);
-        prop_assert_eq!(snapshot_bytes(&from_lock_free), b);
     }
 }

@@ -47,15 +47,10 @@ COMMANDS:
                  clean run (same flags as run)
   conform      conformance oracle: paper-invariant checkers over the engine
                  trace for every policy x fault scenario, a differential
-                 engine-vs-reference sweep, and competitive-ratio
-                 guardrails: [--quick] [--p N --k N --s N --len N]
-                 [--diff N] [--seed N] (exits non-zero on any violation)
-                 --concurrent switches to the concurrent-substrate sweep:
-                 schedule exploration (exhaustive + random) over the
-                 lock-free list ops with linearization checking, sharded
-                 stress cells with exact ledger replay, and sabotage
-                 self-checks that must catch two seeded concurrency bugs:
-                 [--budget N] [--quick] [--seed N]
+                 engine-vs-reference sweep, competitive-ratio guardrails,
+                 and sharded-LRU stress cells with exact ledger replay:
+                 [--quick] [--p N --k N --s N --len N] [--diff N]
+                 [--seed N] (exits non-zero on any violation)
   chaos        crash-recovery matrix: every policy x fault scenario x
                  deterministic crashpoint, run under the checkpointing
                  supervisor; recovered runs must be byte-identical to

@@ -255,6 +255,43 @@ fn chaos_net_rejects_model_flags_as_unknown() {
     );
 }
 
+/// `conform` has one entry: the retired `--concurrent` sweep and its
+/// `--budget` are unknown flags, rejected before any table prints.
+#[test]
+fn conform_rejects_retired_concurrent_flags_as_unknown() {
+    for (args, flag) in [
+        (&["conform", "--concurrent"][..], "--concurrent"),
+        (&["conform", "--budget", "10"], "--budget"),
+    ] {
+        let (ok, stdout, stderr) = parapage(args);
+        assert!(!ok, "{args:?} succeeded");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(
+            !stdout.contains("invariant matrix"),
+            "ran before rejecting: {stdout}"
+        );
+    }
+}
+
+/// `conform --quick` ends with the sharded-stress section: three cells,
+/// all passing.
+#[test]
+fn conform_quick_runs_three_passing_sharded_stress_cells() {
+    let (ok, stdout, stderr) = parapage(&["conform", "--quick"]);
+    assert!(ok, "stderr: {stderr}");
+    let (_, stress) = stdout
+        .split_once("sharded stress")
+        .unwrap_or_else(|| panic!("no sharded-stress table: {stdout}"));
+    let verdicts: Vec<&str> = stress
+        .lines()
+        .filter_map(|l| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            (t.len() == 6 && t[0].parse::<usize>().is_ok()).then(|| t[5])
+        })
+        .collect();
+    assert_eq!(verdicts, ["pass"; 3], "{stress}");
+}
+
 /// The quick net matrix: its 8 cells, in order, all passing. The counters
 /// depend on timing, so only labels and verdicts are pinned.
 #[test]

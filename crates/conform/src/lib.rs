@@ -33,12 +33,9 @@
 //! * [`resume`] — resume equivalence: a run that crashes and recovers
 //!   from snapshots (the `parapage-sched` supervisor) must reproduce the
 //!   uninterrupted run's result and trace byte-for-byte.
-//! * [`schedules`] — loom-style schedule exploration for the concurrent
-//!   cache substrate: a token-passing virtual scheduler over the yield
-//!   points instrumented into `parapage-cache::concurrent`, DFS/random
-//!   enumeration of thread interleavings, and a Wing–Gong linearization
-//!   checker over the recorded histories; drives
-//!   `parapage conform --concurrent`.
+//! * [`sharded`] — real-thread stress cells for the shared sharded LRU:
+//!   per-shard ledgers replayed exactly against the sequential policy,
+//!   plus an aggregate hit/miss envelope.
 //! * [`walchaos`] — WAL corruption chaos: torn tails, partial tails,
 //!   mid-record truncations, bit flips, and stale-base/newer-log pairings
 //!   inflicted on the incremental checkpoint log at recovery time must be
@@ -58,7 +55,7 @@ pub mod netfault;
 pub mod oracle;
 pub mod reference;
 pub mod resume;
-pub mod schedules;
+pub mod sharded;
 pub mod walchaos;
 
 pub use chaos::{chaos_matrices, chaos_workload, Baseline, CellFilter, ChaosCell, ChaosMatrix};
@@ -75,10 +72,7 @@ pub use oracle::{
 };
 pub use reference::run_reference;
 pub use resume::{check_corruption_rejection, check_resume};
-pub use schedules::{
-    check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
-    run_schedule, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op, OpRecord, Scenario,
-};
+pub use sharded::{check_concurrent_cache, check_sharded_ledgers, ConcurrentCell};
 pub use walchaos::{check_wal_corruption, SabotagedStore, WalCorruption};
 
 #[cfg(test)]

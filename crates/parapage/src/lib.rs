@@ -70,16 +70,15 @@ pub mod prelude {
     };
     pub use parapage_cache::{
         min_misses, miss_curve, run_box, run_window, sampled_miss_curve, Access, ArcCache, Cache,
-        ClockCache, FifoCache, LfuCache, LirsCache, LockFreeFifoCache, LruCache, PageId, ProcId,
-        ShardedCache, ShardedLru, SplitOrderedMap, Time, TwoQueueCache,
+        ClockCache, FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache,
+        ShardedLru, Time, TwoQueueCache,
     };
     pub use parapage_conform::{
         chaos_matrices, chaos_workload, check_concurrent_cache, check_corruption_rejection,
         check_resume, check_sharded_ledgers, check_wal_corruption, competitive_envelope,
-        conform_matrix, conform_run, differential_sweep, explore, explore_all, net_cells,
-        scenarios, CellFilter, ChaosCell, ChaosMatrix, ConcurrentCell, ConformReport, DiffReport,
-        EnvelopeReport, ExploreMode, ExploreReport, NetCell, NetFaultKind, NetFaultPlan,
-        WalCorruption, CONFORM_POLICIES,
+        conform_matrix, conform_run, differential_sweep, net_cells, CellFilter, ChaosCell,
+        ChaosMatrix, ConcurrentCell, ConformReport, DiffReport, EnvelopeReport, NetCell,
+        NetFaultKind, NetFaultPlan, WalCorruption, CONFORM_POLICIES,
     };
     pub use parapage_core::{
         audit_greedy, boxed_policy, check_well_rounded, green_opt, green_opt_fast,

@@ -62,6 +62,11 @@ pub fn s2c_chain_seed() -> u64 {
 /// Longest tenant name the server admits.
 pub const MAX_TENANT_NAME: usize = 256;
 
+/// Most cache shards per processor the server admits. Every batch builds
+/// a `shards`-way sharded cache per processor, so an unbounded count
+/// would let one `Hello` make the server allocate without limit.
+pub const MAX_SHARDS: usize = 64;
+
 /// Application error codes carried by [`Frame::Error`].
 pub mod error_code {
     /// Protocol version mismatch in `Hello`.
@@ -125,7 +130,8 @@ pub struct TenantConfig {
     pub policy: String,
     /// Base RNG seed; batch `b` uses `seed ^ mix(b)`.
     pub seed: u64,
-    /// Shard count of the tenant's [`parapage::cache::ShardedLru`].
+    /// Shard count of the tenant's [`parapage::cache::ShardedLru`]
+    /// (1 ..= [`MAX_SHARDS`]).
     pub shards: usize,
 }
 

@@ -108,10 +108,17 @@ fn hello_validation_rejects_bad_versions_policies_and_models() {
         expect_error(client.hello(cfg).expect("hello"), error_code::BAD_FRAME);
     }
 
-    // Degenerate models.
-    for (p, k, s) in [(0usize, 16usize, 4u64), (4, 2, 4), (2, 16, 1)] {
+    // Degenerate models, including shard counts no batch could allocate.
+    for (p, k, s, shards) in [
+        (0usize, 16usize, 4u64, 2usize),
+        (4, 2, 4, 2),
+        (2, 16, 1, 2),
+        (2, 16, 4, 0),
+        (2, 16, 4, 1 << 40),
+        (2, 16, 4, usize::MAX),
+    ] {
         let mut cfg = config("m");
-        (cfg.p, cfg.k, cfg.s) = (p, k, s);
+        (cfg.p, cfg.k, cfg.s, cfg.shards) = (p, k, s, shards);
         expect_error(client.hello(cfg).expect("hello"), error_code::BAD_FRAME);
     }
 

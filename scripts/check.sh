@@ -23,12 +23,6 @@ cargo test -q -p rayon
 echo "==> parapage conform --quick"
 cargo run -q -p parapage-cli --release -- conform --quick
 
-echo "==> parapage conform --concurrent --quick (schedule exploration)"
-cargo run -q -p parapage-cli --release -- conform --concurrent --quick
-
-echo "==> parapage conform --concurrent (bounded budget)"
-cargo run -q -p parapage-cli --release -- conform --concurrent --budget 16000
-
 echo "==> width-2 stress (PARAPAGE_THREADS=2)"
 PARAPAGE_THREADS=2 cargo test -q -p parapage-conform --test concurrent_stress
 
