@@ -1,25 +1,6 @@
-//! Minimal ASCII charts for experiment output: a horizontal bar chart and a
-//! sparkline, so the ratio-vs-`log p` curves are visible directly in a
-//! terminal without any plotting dependency.
-
-/// Renders a horizontal bar chart; one row per `(label, value)`, scaled to
-/// `width` columns at the maximum value.
-pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
-    let max = rows.iter().map(|r| r.1).fold(f64::EPSILON, f64::max);
-    let label_w = rows.iter().map(|r| r.0.chars().count()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in rows {
-        let filled = ((value / max) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "{:>label_w$} | {}{} {:.3}\n",
-            label,
-            "█".repeat(filled.min(width)),
-            " ".repeat(width - filled.min(width)),
-            value,
-        ));
-    }
-    out
-}
+//! A minimal ASCII sparkline, so a curve (such as `analyze`'s miss-ratio
+//! curve) is visible directly in a terminal without any plotting
+//! dependency.
 
 /// Renders a one-line sparkline of the values using eighth-block glyphs.
 pub fn sparkline(values: &[f64]) -> String {
@@ -44,17 +25,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bars_scale_to_width() {
-        let rows = vec![("a".to_string(), 1.0), ("bb".to_string(), 2.0)];
-        let s = bar_chart(&rows, 10);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[1].matches('█').count(), 10); // max row fills
-        assert_eq!(lines[0].matches('█').count(), 5);
-        assert!(lines[0].starts_with(" a")); // right-aligned labels
-    }
-
-    #[test]
     fn sparkline_shape() {
         let s = sparkline(&[0.0, 0.5, 1.0]);
         let chars: Vec<char> = s.chars().collect();
@@ -72,6 +42,5 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert_eq!(sparkline(&[]), "");
-        assert_eq!(bar_chart(&[], 10), "");
     }
 }

@@ -32,7 +32,7 @@ pub mod report;
 pub mod static_opt;
 pub mod stats;
 
-pub use chart::{bar_chart, sparkline};
+pub use chart::sparkline;
 pub use gantt::gantt;
 pub use lower_bounds::{impact_bound_estimate, opt_lower_bound, per_proc_bound};
 pub use micro_opt::micro_opt_makespan;

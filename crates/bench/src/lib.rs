@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod profile;
 pub mod recipes;
 pub mod suite;
 
@@ -50,6 +49,9 @@ impl Default for Cli {
 }
 
 /// Parses `--csv`, `--quick`, and `--seed <n>` from `std::env::args`.
+///
+/// An unknown flag, or a `--seed` without a number, prints the supported
+/// flags and exits with status 2.
 pub fn parse_cli() -> Cli {
     let mut cli = Cli::default();
     let mut args = std::env::args().skip(1);
@@ -57,19 +59,19 @@ pub fn parse_cli() -> Cli {
         match a.as_str() {
             "--csv" => cli.csv = true,
             "--quick" => cli.quick = true,
-            "--seed" => {
-                cli.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            other => {
-                eprintln!("unknown flag {other}; supported: --csv --quick --seed <n>");
-                std::process::exit(2);
-            }
+            "--seed" => match args.next().map(|v| v.parse()) {
+                Some(Ok(n)) => cli.seed = n,
+                _ => usage_error("--seed needs a number"),
+            },
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     cli
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}; supported: --csv --quick --seed <n>");
+    std::process::exit(2);
 }
 
 /// Prints a table in the format the CLI selected.

@@ -49,7 +49,7 @@
 
 use std::time::Instant;
 
-use parapage::cache::SnapWriter;
+use parapage::cache::{fnv1a64_seeded, SnapWriter, FNV_OFFSET_BASIS};
 use parapage::prelude::*;
 use rayon::pool;
 
@@ -61,15 +61,12 @@ pub struct Digest(u64);
 impl Digest {
     /// Fresh digest with the standard FNV offset basis.
     pub fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(FNV_OFFSET_BASIS)
     }
 
     /// Folds a summary line into the digest.
     pub fn write(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a64_seeded(self.0, s.as_bytes());
     }
 
     /// The digest value.
@@ -465,7 +462,10 @@ fn run_policy(name: &str, w: &Workload, params: &ModelParams, seed: u64) -> RunR
     run_engine(&mut *alloc, w.seqs(), params, &EngineOpts::default()).expect("bench run")
 }
 
-/// The standard heterogeneous bench workload (mirrors the CLI's `mixed`).
+/// The suite's heterogeneous bench workload: small loops, big loops and
+/// Zipf hotspots, one of each class per group of three processors. It is
+/// not the CLI's `mixed` family (no phase changers, and a `k/8` small
+/// loop); it stays as it is because every BENCH_5 digest depends on it.
 fn bench_workload(p: usize, k: usize, len: usize, seed: u64) -> Workload {
     let specs: Vec<SeqSpec> = (0..p)
         .map(|x| match x % 3 {

@@ -20,9 +20,6 @@
 //! * [`mattson`] — single-pass stack-distance analysis producing the LRU miss
 //!   count for **every** cache capacity at once (the classic Mattson et al.
 //!   1970 technique), backed by the [`fenwick`] tree substrate.
-//! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
-//!   approximating the miss curve at a fraction of the cost for long
-//!   traces.
 //! * [`sharded`] — [`ShardedCache`], a cache split into independently
 //!   locked sequential shards behind the same [`Cache`] trait, with
 //!   per-shard access ledgers for replay checks.
@@ -47,7 +44,6 @@ pub mod lirs;
 pub mod lru;
 pub mod mattson;
 pub mod policy;
-pub mod sampling;
 pub mod sharded;
 pub mod stats;
 pub mod testshim;
@@ -70,7 +66,6 @@ pub use lirs::LirsCache;
 pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve};
 pub use policy::{Access, Cache};
-pub use sampling::{sampled_miss_curve, SampledCurve};
 pub use sharded::{shard_capacity, ShardedCache, ShardedLru};
 pub use stats::CacheStats;
 pub use testshim::MapLru;

@@ -1,14 +1,21 @@
 //! Tiny hand-rolled flag parser (no external dependency): `--key value`
-//! pairs plus boolean `--flag`s, with typed accessors and an unknown-flag
-//! check.
+//! pairs plus boolean `--flag`s, with typed accessors and a final check
+//! that rejects unknown and half-given flags.
 
 use std::collections::HashMap;
+
+/// How a command read a key: as a `--key value` pair or a boolean `--flag`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Value,
+    Flag,
+}
 
 /// Parsed command-line flags.
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
-    used: std::cell::RefCell<Vec<String>>,
+    used: std::cell::RefCell<Vec<(String, Kind)>>,
 }
 
 impl Args {
@@ -41,9 +48,13 @@ impl Args {
         })
     }
 
+    fn mark(&self, key: &str, kind: Kind) {
+        self.used.borrow_mut().push((key.to_string(), kind));
+    }
+
     /// Typed value with a default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        self.used.borrow_mut().push(key.to_string());
+        self.mark(key, Kind::Value);
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -54,7 +65,7 @@ impl Args {
 
     /// Required string value.
     pub fn require(&self, key: &str) -> Result<String, String> {
-        self.used.borrow_mut().push(key.to_string());
+        self.mark(key, Kind::Value);
         self.values
             .get(key)
             .cloned()
@@ -63,22 +74,29 @@ impl Args {
 
     /// Optional string value.
     pub fn opt(&self, key: &str) -> Option<String> {
-        self.used.borrow_mut().push(key.to_string());
+        self.mark(key, Kind::Value);
         self.values.get(key).cloned()
     }
 
     /// Boolean flag.
     pub fn flag(&self, key: &str) -> bool {
-        self.used.borrow_mut().push(key.to_string());
+        self.mark(key, Kind::Flag);
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Errors on any flag the command never consulted.
+    /// Errors on any flag the command never consulted, on a valued flag
+    /// given without its value (which would otherwise read as the default),
+    /// and on a boolean flag given a value (which would otherwise read as
+    /// off).
     pub fn finish(&self) -> Result<(), String> {
         let used = self.used.borrow();
-        for k in self.values.keys().chain(self.flags.iter()) {
-            if !used.iter().any(|u| u == k) {
-                return Err(format!("unknown flag --{k}"));
+        let given = self.values.keys().map(|k| (k, Kind::Value));
+        for (k, kind) in given.chain(self.flags.iter().map(|k| (k, Kind::Flag))) {
+            match used.iter().find(|(u, _)| u == k).map(|&(_, read)| read) {
+                None => return Err(format!("unknown flag --{k}")),
+                Some(read) if read == kind => {}
+                Some(Kind::Value) => return Err(format!("--{k} needs a value")),
+                Some(Kind::Flag) => return Err(format!("--{k} takes no value")),
             }
         }
         Ok(())
@@ -114,6 +132,27 @@ mod tests {
         let a = Args::parse(&argv("--bogus 1")).unwrap();
         let _ = a.get("p", 0usize);
         assert!(a.finish().is_err());
+    }
+
+    #[test]
+    fn rejects_a_valued_flag_without_its_value() {
+        for line in ["--seed", "--seed --p 8", "--p 8 --seed"] {
+            let a = Args::parse(&argv(line)).unwrap();
+            assert_eq!(a.get("seed", 42u64).unwrap(), 42);
+            let _ = a.get("p", 0usize);
+            assert_eq!(a.finish().unwrap_err(), "--seed needs a value", "{line}");
+        }
+        let a = Args::parse(&argv("--out")).unwrap();
+        assert!(a.opt("out").is_none());
+        assert_eq!(a.finish().unwrap_err(), "--out needs a value");
+    }
+
+    #[test]
+    fn rejects_a_boolean_flag_given_a_value() {
+        let a = Args::parse(&argv("--gantt yes --p 8")).unwrap();
+        assert!(!a.flag("gantt"));
+        let _ = a.get("p", 0usize);
+        assert_eq!(a.finish().unwrap_err(), "--gantt takes no value");
     }
 
     #[test]

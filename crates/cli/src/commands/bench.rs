@@ -19,13 +19,7 @@
 //! * `--baseline <BENCH_n.json>` was given, the recipe is full, and the
 //!   aggregate single-thread improvement over the shared entries falls
 //!   below [`parapage_bench::suite::BASELINE_IMPROVEMENT_GATE`].
-//!
-//! `--profile` additionally runs one instrumented det-par engine run plus
-//! a pool grid and writes the coarse per-phase timer breakdown (alloc /
-//! policy / cache / pool / other), also written as `<out>.profile.json`
-//! when `--out` is given.
 
-use parapage_bench::profile::profile_run;
 use parapage_bench::suite::{parse_baseline, run_suite, BASELINE_IMPROVEMENT_GATE, SPEEDUP_GATE};
 use rayon::pool;
 
@@ -38,7 +32,6 @@ const BENCH_ID: &str = "BENCH_5";
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let quick = args.flag("quick");
-    let profile = args.flag("profile");
     let baseline_path = args.opt("baseline");
     let seed: u64 = args.get("seed", 42)?;
     let threads: usize = args.get("threads", pool::current_threads())?;
@@ -147,26 +140,6 @@ pub fn exec(args: &Args) -> Result<(), String> {
         let json = report.to_json_with(BENCH_ID, comparison.as_ref());
         std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
-    }
-
-    if profile {
-        let prof = profile_run(quick, seed);
-        println!(
-            "phase profile ({} engine events): alloc {:.1}ms, policy {:.1}ms, cache {:.1}ms, \
-             pool {:.1}ms, other {:.1}ms",
-            prof.engine_events,
-            prof.alloc_secs * 1e3,
-            prof.policy_secs * 1e3,
-            prof.cache_secs * 1e3,
-            prof.pool_secs * 1e3,
-            prof.other_secs * 1e3,
-        );
-        if let Some(out) = &out {
-            let prof_out = format!("{}.profile.json", out.trim_end_matches(".json"));
-            std::fs::write(&prof_out, prof.to_json(quick, seed))
-                .map_err(|e| format!("writing {prof_out}: {e}"))?;
-            println!("wrote {prof_out}");
-        }
     }
 
     if !report.deterministic() {

@@ -39,8 +39,11 @@ COMMANDS:
                  check byte-identical results, and print the report
                  (written as BENCH_5-format JSON only with --out FILE):
                  [--quick] [--threads N] [--seed N] [--out FILE]
-                 (exits non-zero on a determinism violation, or on a
-                 multi-core full run whose speedup misses the 1.5x gate)
+                 [--baseline FILE] (compare single-thread rates with a
+                 prior BENCH_n.json report)
+                 (exits non-zero on a determinism violation, on a
+                 multi-core full run whose speedup misses the 1.5x gate,
+                 or on a full run whose --baseline improvement misses 1.3x)
   faults       fault-injection matrix: run one policy raw and hardened
                  under each fault scenario (stalls, latency spikes, memory
                  pressure, chaos) and report makespan degradation vs the

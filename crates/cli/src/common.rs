@@ -2,6 +2,7 @@
 //! dispatch by name.
 
 use parapage::prelude::*;
+use parapage_bench::recipes::{mixed_specs, skewed_specs, uniform_specs};
 
 use crate::args::Args;
 
@@ -54,41 +55,9 @@ pub fn workload_from(args: &Args, params: &ModelParams) -> Result<Workload, Stri
     }
     let (p, k) = (params.p, params.k);
     let specs: Vec<SeqSpec> = match name.as_str() {
-        "mixed" => (0..p)
-            .map(|x| match x % 4 {
-                0 => SeqSpec::Cyclic {
-                    width: (k / 16).max(2),
-                    len,
-                },
-                1 => SeqSpec::Cyclic { width: k / 2, len },
-                2 => SeqSpec::Zipf {
-                    universe: (k / 2).max(4),
-                    theta: 0.9,
-                    len,
-                },
-                _ => SeqSpec::Phased {
-                    phases: vec![((k / 16).max(2), len / 2), (k / 2, len - len / 2)],
-                },
-            })
-            .collect(),
-        "skewed" => (0..p)
-            .map(|x| {
-                if x == 0 {
-                    SeqSpec::Cyclic {
-                        width: 3 * k / 4,
-                        len,
-                    }
-                } else {
-                    SeqSpec::Cyclic { width: 4, len }
-                }
-            })
-            .collect(),
-        "uniform" => (0..p)
-            .map(|_| SeqSpec::Uniform {
-                universe: (2 * k / p).max(2),
-                len,
-            })
-            .collect(),
+        "mixed" => mixed_specs(p, k, len),
+        "skewed" => skewed_specs(p, k, len),
+        "uniform" => uniform_specs(p, k, len),
         "fresh" => (0..p).map(|_| SeqSpec::Fresh { len }).collect(),
         "zipf" => (0..p)
             .map(|_| SeqSpec::Zipf {

@@ -4,16 +4,22 @@
 //! parapage run         --policy det-par --p 8 --k 128 --workload mixed [--gantt]
 //! parapage compare     --p 8 --k 128 --workload skewed
 //! parapage adversarial --p 32 --k 128 [--alpha 0.05]
-//! parapage bench       [--quick] [--threads N] [--out BENCH_5.json]
-//! parapage faults      --policy det-par --p 8 --k 128 --workload mixed
 //! parapage green       --p 8 --k 64 --workload mixed [--seeds 8]
+//! parapage audit       --p 8 --k 64 [--slack 4]
+//! parapage bench       [--quick] [--threads N] [--out FILE] [--baseline FILE]
+//! parapage faults      --policy det-par --p 8 --k 128 --workload mixed
+//! parapage conform     [--quick] [--diff N]
+//! parapage chaos       [--quick] [--wal] [--net] [--cells SUBSTR]
+//! parapage profile     --p 8 --k 64 [--width 80]
 //! parapage analyze     --trace FILE [--max-cap 256]
 //! parapage gen         --workload mixed --p 8 --k 128 --out FILE
 //! parapage serve       [--addr 127.0.0.1:7717] [--max-tenants 64]
 //! parapage drive       [--requests 100000] [--tenants 4] [--expect-clean]
+//! parapage help
 //! ```
 //!
-//! Every subcommand prints an aligned table; see `parapage help` for flags.
+//! Every subcommand prints an aligned table; see `parapage help` for all
+//! flags.
 //! Each one reads all its flags and rejects an unknown one before it does
 //! any work, so a mistyped flag writes no file and opens no socket.
 

@@ -355,9 +355,24 @@ fn parapage_in(dir: &std::path::Path, args: &[&str], deadline: Duration) -> std:
     child.wait_with_output().expect("collect parapage output")
 }
 
+/// Runs `parapage` in the empty `dir` and asserts that it was refused
+/// before any work: exit 2, `want` in stderr, nothing on stdout, no file
+/// written. Returns stderr.
+fn assert_refused_in(dir: &std::path::Path, args: &[&str], want: &str) -> String {
+    let out = parapage_in(dir, args, Duration::from_secs(30));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(want), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed {:?}", out.stdout);
+    let left: Vec<_> = std::fs::read_dir(dir).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    stderr
+}
+
 /// Every command in `USAGE` reads all its flags and rejects an unknown
 /// one before doing any work: exit 2, nothing on stdout, no file written,
-/// no server left serving.
+/// no server left serving. The retired `bench --profile` is one of them:
+/// it writes no `*.profile.json`.
 #[test]
 fn every_command_rejects_an_unknown_flag_before_any_work() {
     let (_, usage, _) = parapage(&["help"]);
@@ -384,19 +399,48 @@ fn every_command_rejects_an_unknown_flag_before_any_work() {
             .chain(&["--zzbogus"])
             .copied()
             .collect();
-        let out = parapage_in(&dir, &args, Duration::from_secs(30));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown flag --"), "{args:?}: {stderr}");
+        let stderr = assert_refused_in(&dir, &args, "unknown flag --");
         if !matches!(cmd, "gen" | "bench") {
             assert!(
                 stderr.contains("unknown flag --zzbogus"),
                 "{args:?}: {stderr}"
             );
         }
-        assert!(out.stdout.is_empty(), "{args:?} printed {:?}", out.stdout);
-        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+    assert_refused_in(
+        &dir,
+        &["bench", "--quick", "--out", "bench.json", "--profile"],
+        "unknown flag --profile",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A valued flag without its value does not fall back to its default, and
+/// a boolean flag given a value does not read as off: both are refused
+/// before any work.
+#[test]
+fn half_given_flags_are_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("parapage_cli_half_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, want) in [
+        (
+            &["gen", "--workload", "mixed", "--out", "gen.trace", "--seed"][..],
+            "error: --seed needs a value",
+        ),
+        (
+            &["audit", "--p", "4", "--k", "32", "--slack"],
+            "error: --slack needs a value",
+        ),
+        (
+            &["run", "--p", "4", "--k", "32", "--gantt", "yes"],
+            "error: --gantt takes no value",
+        ),
+        (
+            &["bench", "--quick", "1", "--out", "bench.json"],
+            "error: --quick takes no value",
+        ),
+    ] {
+        assert_refused_in(&dir, args, want);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

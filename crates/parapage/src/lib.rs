@@ -65,13 +65,13 @@ pub use parapage_workloads as workloads;
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use parapage_analysis::{
-        bar_chart, fit_linear, gantt, lemma8_makespan, median, opt_lower_bound, per_proc_bound,
-        quantile, sparkline, summarize, Table,
+        fit_linear, gantt, lemma8_makespan, median, opt_lower_bound, per_proc_bound, quantile,
+        sparkline, summarize, Table,
     };
     pub use parapage_cache::{
-        min_misses, miss_curve, run_box, run_window, sampled_miss_curve, Access, ArcCache, Cache,
-        ClockCache, FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache,
-        ShardedLru, Time, TwoQueueCache,
+        min_misses, miss_curve, run_box, run_window, Access, ArcCache, Cache, ClockCache,
+        FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache, ShardedLru, Time,
+        TwoQueueCache,
     };
     pub use parapage_conform::{
         chaos_matrices, chaos_workload, check_concurrent_cache, check_corruption_rejection,

@@ -31,26 +31,13 @@ pub struct InterleavedResult {
 pub fn run_interleaved_partition(seqs: &[Vec<PageId>], alloc: &[usize]) -> InterleavedResult {
     assert_eq!(seqs.len(), alloc.len());
     let mut caches: Vec<LruCache> = alloc.iter().map(|&c| LruCache::new(c)).collect();
-    run_rounds(seqs, |x, page| caches[x].access(page).is_hit())
-}
-
-/// Runs the interleaved model with one **shared LRU** of `k` pages.
-pub fn run_interleaved_shared(seqs: &[Vec<PageId>], k: usize) -> InterleavedResult {
-    let mut cache = LruCache::new(k);
-    run_rounds(seqs, |_x, page| cache.access(page).is_hit())
-}
-
-fn run_rounds(
-    seqs: &[Vec<PageId>],
-    mut access: impl FnMut(usize, PageId) -> bool,
-) -> InterleavedResult {
     let rounds = seqs.iter().map(Vec::len).max().unwrap_or(0);
     let mut misses = vec![0u64; seqs.len()];
     let mut stats = CacheStats::default();
     for r in 0..rounds {
         for (x, seq) in seqs.iter().enumerate() {
             if let Some(&page) = seq.get(r) {
-                let hit = access(x, page);
+                let hit = caches[x].access(page).is_hit();
                 stats.record(hit);
                 if !hit {
                     misses[x] += 1;
@@ -87,14 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_model_interleaves_round_robin() {
-        // Two procs, disjoint 4-page cycles, shared cache 8: both fit.
-        let seqs = vec![cyc(0, 4, 60), cyc(1, 4, 60)];
-        let res = run_interleaved_shared(&seqs, 8);
-        assert_eq!(res.stats.misses, 8);
-    }
-
-    #[test]
     fn fixed_rate_ignores_miss_speed() {
         // The defining property: a proc with all misses still finishes in
         // `rounds` rounds — no makespan interaction at all.
@@ -107,9 +86,12 @@ mod tests {
 
     #[test]
     fn uneven_lengths_handled() {
+        // The short sequence drops out after its last request; the long
+        // one keeps issuing one request per round until it finishes.
         let seqs = vec![cyc(0, 2, 10), cyc(1, 2, 30)];
-        let res = run_interleaved_shared(&seqs, 8);
+        let res = run_interleaved_partition(&seqs, &[4, 4]);
         assert_eq!(res.rounds, 30);
         assert_eq!(res.stats.accesses(), 40);
+        assert_eq!(res.misses, vec![2, 2]);
     }
 }

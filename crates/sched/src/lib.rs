@@ -60,7 +60,7 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use fault::FaultPlan;
-pub use interleaved::{run_interleaved_partition, run_interleaved_shared, InterleavedResult};
+pub use interleaved::{run_interleaved_partition, InterleavedResult};
 pub use metrics::RunResult;
 pub use shared::{run_shared_lru, run_shared_lru_bandwidth};
 pub use snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError, WorkloadRef};

@@ -4,7 +4,7 @@
 # (the tracked record is `--out BENCH_5.json` on a full run).
 #
 # Usage: scripts/bench.sh [--quick] [--threads N] [--seed N] [--out FILE]
-#                         [--baseline BENCH_n.json] [--profile]
+#                         [--baseline BENCH_n.json]
 # (flags pass through to `parapage bench`).
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Pre-PR gate and the whole of CI: formatting, lints, the full test
 # suite, the conformance oracle, every chaos matrix, the serve smokes,
-# the bench smoke (which also enforces the ops floors), and the loopback
-# benchmark's correctness smoke. Run from anywhere; works on the repo this script
-# lives in. The bench smoke's JSON report lands in
-# /tmp/parapage-bench-smoke.json.
+# the bench smoke (which also enforces the ops floors), a quick run of
+# every experiment binary, and the loopback benchmark's correctness
+# smoke. Run from anywhere; works on the repo this script lives in. The
+# bench smoke's JSON report lands in /tmp/parapage-bench-smoke.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +34,13 @@ cargo run -q -p parapage-cli --release -- chaos
 
 echo "==> parapage bench --quick (smoke + determinism + ops-floor gate)"
 cargo run -q -p parapage-cli --release -- bench --quick --out /tmp/parapage-bench-smoke.json
+
+echo "==> experiment smoke (every exp_e* binary with --quick)"
+for src in crates/bench/src/bin/exp_e*.rs; do
+  exp=$(basename "$src" .rs)
+  cargo run -q -p parapage-bench --release --bin "$exp" -- --quick >/dev/null \
+    || { echo "experiment $exp failed"; exit 1; }
+done
 
 echo "==> parapage chaos --quick --net (network chaos matrix)"
 cargo run -q -p parapage-cli --release -- chaos --quick --net
