@@ -13,7 +13,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
 use crate::types::PageId;
 
@@ -185,82 +184,12 @@ impl Cache for ArcCache {
     }
 }
 
-impl Checkpoint for ArcCache {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.p);
-        for list in [&self.t1, &self.t2, &self.b1, &self.b2] {
-            w.put_len(list.len());
-            for &pg in list {
-                w.put_page(pg);
-            }
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        let capacity = r.get_usize()?;
-        let p = r.get_usize()?;
-        if p > capacity {
-            return Err(CodecError::Invalid("ARC target exceeds capacity"));
-        }
-        let mut lists: [VecDeque<PageId>; 4] = Default::default();
-        let mut loc = HashMap::new();
-        for (list, tag) in lists.iter_mut().zip([Loc::T1, Loc::T2, Loc::B1, Loc::B2]) {
-            let n = r.get_len()?;
-            for _ in 0..n {
-                let pg = r.get_page()?;
-                if loc.insert(pg, tag).is_some() {
-                    return Err(CodecError::Invalid("page in two ARC lists"));
-                }
-                list.push_back(pg);
-            }
-        }
-        let [t1, t2, b1, b2] = lists;
-        if t1.len() + t2.len() > capacity {
-            return Err(CodecError::Invalid("ARC resident count exceeds capacity"));
-        }
-        self.capacity = capacity;
-        self.p = p;
-        self.t1 = t1;
-        self.t2 = t2;
-        self.b1 = b1;
-        self.b2 = b2;
-        self.loc = loc;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(v: u64) -> PageId {
         PageId(v)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_all_four_lists() {
-        let mut c = ArcCache::new(3);
-        for v in [1, 2, 3, 1, 4, 5, 2, 6] {
-            c.access(p(v));
-        }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = ArcCache::new(0);
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored.capacity(), 3);
-        assert_eq!(restored.p, c.p);
-        assert_eq!(restored.t1, c.t1);
-        assert_eq!(restored.t2, c.t2);
-        assert_eq!(restored.b1, c.b1);
-        assert_eq!(restored.b2, c.b2);
-        // Identical behaviour from here on, ghost adaptation included.
-        for v in [2, 7, 1, 8, 3] {
-            assert_eq!(restored.access(p(v)), c.access(p(v)));
-        }
-        assert_eq!(restored.t1, c.t1);
-        assert_eq!(restored.t2, c.t2);
     }
 
     #[test]

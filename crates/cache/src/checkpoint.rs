@@ -1,6 +1,8 @@
 //! Checkpoint/restore substrate: a compact hand-rolled byte codec and the
-//! [`Checkpoint`] trait every cache (and, one crate up, every policy)
-//! implements so an engine run can be frozen and resumed byte-for-byte.
+//! [`Checkpoint`] trait that every cache an engine checkpoints
+//! ([`crate::LruCache`] and [`crate::ShardedCache`] over it) and, one crate
+//! up, every policy implements, so an engine run can be frozen and resumed
+//! byte-for-byte.
 //!
 //! The workspace builds offline with no serde; the codec here is the whole
 //! wire format. A framed blob is
@@ -18,8 +20,6 @@
 //! hash-map contents by key before writing) so that two states that compare
 //! equal encode identically. The engine's resume-equivalence checker relies
 //! on this.
-
-use std::collections::HashSet;
 
 use crate::types::PageId;
 
@@ -397,11 +397,6 @@ impl SnapWriter {
         self.put_u64(v as u64);
     }
 
-    /// Writes an `f64` by bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Writes a collection length (alias of [`SnapWriter::put_usize`],
     /// named for intent at call sites).
     pub fn put_len(&mut self, v: usize) {
@@ -498,11 +493,6 @@ impl<'a> SnapReader<'a> {
         usize::try_from(v).map_err(|_| CodecError::Invalid("usize does not fit this platform"))
     }
 
-    /// Reads an `f64` by bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads a collection length; bounded by the remaining bytes so a
     /// corrupted length cannot trigger a huge allocation.
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
@@ -573,18 +563,6 @@ pub trait Checkpoint {
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError>;
 }
 
-/// Rebuilds a `HashSet<PageId>` from a list of pages, rejecting duplicates
-/// (a duplicated member means the blob is corrupt or non-canonical).
-pub(crate) fn set_from_pages(pages: &[PageId]) -> Result<HashSet<PageId>, CodecError> {
-    let mut set = HashSet::with_capacity(pages.len());
-    for &p in pages {
-        if !set.insert(p) {
-            return Err(CodecError::Invalid("duplicate page in checkpointed list"));
-        }
-    }
-    Ok(set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +578,6 @@ mod tests {
         w.put_i64(-12);
         w.put_u128(u128::MAX - 5);
         w.put_usize(9999);
-        w.put_f64(0.25);
         w.put_page(PageId(42));
         w.put_bytes(b"abc");
         let bytes = w.into_bytes();
@@ -613,7 +590,6 @@ mod tests {
         assert_eq!(r.get_i64().unwrap(), -12);
         assert_eq!(r.get_u128().unwrap(), u128::MAX - 5);
         assert_eq!(r.get_usize().unwrap(), 9999);
-        assert_eq!(r.get_f64().unwrap(), 0.25);
         assert_eq!(r.get_page().unwrap(), PageId(42));
         assert_eq!(r.get_bytes().unwrap(), b"abc");
         assert!(r.is_exhausted());

@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 
-use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
 use crate::types::PageId;
 
@@ -118,72 +117,12 @@ impl Cache for ClockCache {
     }
 }
 
-impl Checkpoint for ClockCache {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.hand);
-        w.put_len(self.frames.len());
-        for f in &self.frames {
-            w.put_page(f.page);
-            w.put_bool(f.referenced);
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        let capacity = r.get_usize()?;
-        let hand = r.get_usize()?;
-        let n = r.get_len()?;
-        if n > capacity {
-            return Err(CodecError::Invalid("Clock frame count exceeds capacity"));
-        }
-        if hand > n {
-            return Err(CodecError::Invalid("Clock hand out of range"));
-        }
-        let mut frames = Vec::with_capacity(n);
-        let mut map = HashMap::with_capacity(n);
-        for i in 0..n {
-            let page = r.get_page()?;
-            let referenced = r.get_bool()?;
-            if map.insert(page, i).is_some() {
-                return Err(CodecError::Invalid("duplicate page in Clock checkpoint"));
-            }
-            frames.push(Frame { page, referenced });
-        }
-        self.capacity = capacity;
-        self.frames = frames;
-        self.hand = hand;
-        self.map = map;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(v: u64) -> PageId {
         PageId(v)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_hand_and_bits() {
-        let mut c = ClockCache::new(3);
-        for v in [1, 2, 3, 1, 4] {
-            c.access(p(v));
-        }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = ClockCache::new(0);
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored.capacity(), 3);
-        assert_eq!(restored.hand, c.hand);
-        // Same next victim on both sides.
-        assert_eq!(restored.access(p(9)), Access::Miss);
-        assert_eq!(c.access(p(9)), Access::Miss);
-        let pages: Vec<PageId> = c.frames.iter().map(|f| f.page).collect();
-        let rpages: Vec<PageId> = restored.frames.iter().map(|f| f.page).collect();
-        assert_eq!(pages, rpages);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::checkpoint::{set_from_pages, Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
 use crate::types::PageId;
 
@@ -75,57 +74,12 @@ impl Cache for FifoCache {
     }
 }
 
-impl Checkpoint for FifoCache {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_len(self.queue.len());
-        for &p in &self.queue {
-            w.put_page(p);
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        let capacity = r.get_usize()?;
-        let n = r.get_len()?;
-        if n > capacity {
-            return Err(CodecError::Invalid("FIFO resident count exceeds capacity"));
-        }
-        let mut queue = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            queue.push_back(r.get_page()?);
-        }
-        self.resident = set_from_pages(queue.make_contiguous())?;
-        self.queue = queue;
-        self.capacity = capacity;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(v: u64) -> PageId {
         PageId(v)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_arrival_order() {
-        let mut c = FifoCache::new(3);
-        for v in [1, 2, 3, 1] {
-            c.access(p(v));
-        }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = FifoCache::new(0);
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored.capacity(), 3);
-        assert_eq!(restored.queue, c.queue);
-        // Same next victim on both.
-        assert_eq!(restored.access(p(4)), Access::Miss);
-        assert_eq!(c.access(p(4)), Access::Miss);
-        assert_eq!(restored.queue, c.queue);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 
-use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
 use crate::types::PageId;
 
@@ -97,73 +96,12 @@ impl Cache for LfuCache {
     }
 }
 
-impl Checkpoint for LfuCache {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.clock);
-        // Canonical order: sort by page id so equal states encode equally.
-        let mut entries: Vec<(&PageId, &Entry)> = self.entries.iter().collect();
-        entries.sort_by_key(|(p, _)| **p);
-        w.put_len(entries.len());
-        for (p, e) in entries {
-            w.put_page(*p);
-            w.put_u64(e.freq);
-            w.put_u64(e.stamp);
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        let capacity = r.get_usize()?;
-        let clock = r.get_u64()?;
-        let n = r.get_len()?;
-        if n > capacity {
-            return Err(CodecError::Invalid("LFU resident count exceeds capacity"));
-        }
-        let mut entries = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let page = r.get_page()?;
-            let freq = r.get_u64()?;
-            let stamp = r.get_u64()?;
-            if stamp > clock {
-                return Err(CodecError::Invalid("LFU stamp exceeds clock"));
-            }
-            if entries.insert(page, Entry { freq, stamp }).is_some() {
-                return Err(CodecError::Invalid("duplicate page in LFU checkpoint"));
-            }
-        }
-        self.capacity = capacity;
-        self.entries = entries;
-        self.clock = clock;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(v: u64) -> PageId {
         PageId(v)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_frequencies() {
-        let mut c = LfuCache::new(3);
-        for v in [1, 1, 2, 3, 2, 1] {
-            c.access(p(v));
-        }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = LfuCache::new(0);
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored.capacity(), 3);
-        assert_eq!(restored.clock, c.clock);
-        // Same next victim (page 3: lowest freq) on both sides.
-        assert_eq!(restored.access(p(9)), Access::Miss);
-        assert_eq!(c.access(p(9)), Access::Miss);
-        assert!(!restored.contains(p(3)) && !c.contains(p(3)));
-        assert!(restored.contains(p(1)) && restored.contains(p(2)));
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //!
 //! * [`LruCache`] — O(1) least-recently-used cache with *resizing* (grow keeps
 //!   contents, shrink truncates the LRU tail). LRU is the replacement policy
-//!   the paper fixes WLOG inside every memory box.
+//!   the paper fixes WLOG inside every memory box. It and [`ShardedLru`]
+//!   are the caches a supervised run checkpoints, so they implement
+//!   [`Checkpoint`] (as does [`testshim::MapLru`], the reference for LRU
+//!   checkpoint bytes).
 //! * [`FifoCache`], [`ClockCache`], [`LfuCache`], [`ArcCache`],
 //!   [`TwoQueueCache`], [`LirsCache`] — alternative online policies, used
-//!   as baselines and to cross-check the simulators.
+//!   as baselines and to cross-check the simulators. Engine runs take them
+//!   through `run_engine_with`, which needs no [`Checkpoint`].
 //! * [`belady`] — Belady's offline MIN algorithm, the per-processor miss
 //!   lower bound that feeds the `T_OPT` lower-bound calculator.
 //! * [`mattson`] — single-pass stack-distance analysis producing the LRU miss

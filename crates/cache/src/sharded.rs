@@ -264,7 +264,6 @@ impl<C: Cache + Checkpoint> Checkpoint for ShardedCache<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::FifoCache;
 
     fn p(v: u64) -> PageId {
         PageId(v)
@@ -306,14 +305,14 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips_across_shards() {
-        let mut c = ShardedCache::with_shards_by(6, 4, FifoCache::new);
+        let mut c = ShardedCache::with_shards(6, 4);
         for v in [9u64, 1, 5, 3, 7, 2, 9, 5] {
             c.access(p(v));
         }
         let mut w = SnapWriter::new();
         c.save(&mut w);
         let bytes = w.into_bytes();
-        let mut restored = ShardedCache::with_shards_by(0, 4, FifoCache::new);
+        let mut restored = ShardedCache::with_shards(0, 4);
         restored.load(&mut SnapReader::new(&bytes)).unwrap();
         for v in [9u64, 1, 5, 3, 7, 2] {
             assert_eq!(restored.contains(p(v)), c.contains(p(v)), "page {v}");

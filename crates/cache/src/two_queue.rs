@@ -8,7 +8,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::lru::LruCache;
 use crate::policy::{Access, Cache};
 use crate::types::PageId;
@@ -128,81 +127,12 @@ impl Cache for TwoQueueCache {
     }
 }
 
-impl Checkpoint for TwoQueueCache {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.in_cap);
-        w.put_usize(self.out_cap);
-        for list in [&self.a1in, &self.a1out] {
-            w.put_len(list.len());
-            for &pg in list {
-                w.put_page(pg);
-            }
-        }
-        self.am.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        let capacity = r.get_usize()?;
-        let in_cap = r.get_usize()?;
-        let out_cap = r.get_usize()?;
-        let mut lists: [VecDeque<PageId>; 2] = Default::default();
-        for list in lists.iter_mut() {
-            let n = r.get_len()?;
-            let mut seen = HashMap::new();
-            for _ in 0..n {
-                let pg = r.get_page()?;
-                if seen.insert(pg, ()).is_some() {
-                    return Err(CodecError::Invalid("duplicate page in 2Q queue"));
-                }
-                list.push_back(pg);
-            }
-        }
-        let [a1in, a1out] = lists;
-        if a1in.len() > in_cap || a1out.len() > out_cap {
-            return Err(CodecError::Invalid("2Q queue exceeds its sizing"));
-        }
-        let mut am = LruCache::new(0);
-        am.load(r)?;
-        self.capacity = capacity;
-        self.in_cap = in_cap;
-        self.out_cap = out_cap;
-        self.a1in_set = a1in.iter().map(|&pg| (pg, ())).collect();
-        self.a1out_set = a1out.iter().map(|&pg| (pg, ())).collect();
-        self.a1in = a1in;
-        self.a1out = a1out;
-        self.am = am;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(v: u64) -> PageId {
         PageId(v)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_probation_and_protected() {
-        let mut c = TwoQueueCache::new(8);
-        for v in [1, 2, 3, 1, 4, 5, 2, 1] {
-            c.access(p(v));
-        }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = TwoQueueCache::new(0);
-        restored.load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(restored.capacity(), 8);
-        assert_eq!(restored.a1in, c.a1in);
-        assert_eq!(restored.a1out, c.a1out);
-        assert_eq!(restored.am.pages_mru_first(), c.am.pages_mru_first());
-        for v in [6, 7, 3, 1, 8] {
-            assert_eq!(restored.access(p(v)), c.access(p(v)));
-        }
-        assert_eq!(restored.a1in, c.a1in);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property pins for the sharded concurrent cache:
 //!
-//! * a **1-shard** [`ShardedCache`] is indistinguishable — access outcome
-//!   by access outcome *and* snapshot byte by snapshot byte — from the
-//!   sequential cache it wraps, for every checkpointable policy and random
-//!   traces (the degeneracy the whole test story is anchored on);
+//! * a **1-shard** [`ShardedCache`] is indistinguishable from the
+//!   sequential cache it wraps, access outcome by access outcome for every
+//!   replacement policy and, for LRU (the one policy that gets
+//!   checkpointed), snapshot byte by snapshot byte, on random traces (the
+//!   degeneracy the whole test story is anchored on);
 //! * with any shard count, driving the sharded cache equals driving each
 //!   shard's sequential twin with the routed subsequence;
 //! * the exclusive (`&mut`, lock-free) path and the shared (`&self`,
@@ -13,8 +14,8 @@
 use proptest::prelude::*;
 
 use parapage_cache::{
-    shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache, LruCache, PageId,
-    ShardedCache, SnapReader, SnapWriter, TwoQueueCache,
+    shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache, LirsCache,
+    LruCache, PageId, ShardedCache, SnapReader, SnapWriter, TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -34,16 +35,16 @@ fn snapshot_bytes_mut<C: Checkpoint>(cache: &mut C) -> Vec<u8> {
 }
 
 /// Drives a plain `make(cap)` cache and a 1-shard sharded wrapper over the
-/// same trace, insisting on identical outcomes, identical snapshot bytes,
-/// and that the plain cache's blob loads into the sharded one unchanged.
-fn assert_one_shard_identical<C, F>(
+/// same trace, insisting on identical outcomes and resident counts, and
+/// returns both.
+fn assert_one_shard_outcomes<C, F>(
     name: &str,
     make: F,
     cap: usize,
     seq: &[PageId],
-) -> Result<(), TestCaseError>
+) -> Result<(C, ShardedCache<C>), TestCaseError>
 where
-    C: Cache + Checkpoint,
+    C: Cache,
     F: Fn(usize) -> C,
 {
     let mut plain = make(cap);
@@ -58,36 +59,35 @@ where
         );
     }
     prop_assert_eq!(plain.len(), sharded.len(), "{}", name);
-    let (a, b) = (snapshot_bytes(&plain), snapshot_bytes(&sharded));
-    prop_assert_eq!(&a, &b, "{}: snapshot bytes differ", name);
-
-    // Cross-load: the *sequential* blob restores the sharded cache, and the
-    // restored state re-encodes to the same bytes.
-    let mut restored = ShardedCache::with_shards_by(cap, 1, &make);
-    restored
-        .load(&mut SnapReader::new(&a))
-        .map_err(|e| TestCaseError::fail(format!("{name}: cross-load failed: {e}")))?;
-    prop_assert_eq!(snapshot_bytes(&restored), b, "{}: re-encode differs", name);
-    Ok(())
+    Ok((plain, sharded))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite 1's headline: for every checkpointable policy, a 1-shard
-    /// sharded cache is byte-identical to the sequential cache it wraps.
-    /// (LIRS is absent only because it does not implement `Checkpoint`.)
+    /// A 1-shard sharded cache serves every policy exactly as the
+    /// sequential cache it wraps, and for LRU its snapshot is
+    /// byte-identical: the plain cache's blob loads into the sharded one
+    /// and re-encodes to the same bytes.
     #[test]
     fn one_shard_is_byte_identical_for_every_policy(
         seq in seq_strategy(200, 24),
         cap in 0usize..10,
     ) {
-        assert_one_shard_identical("lru", LruCache::new, cap, &seq)?;
-        assert_one_shard_identical("fifo", FifoCache::new, cap, &seq)?;
-        assert_one_shard_identical("clock", ClockCache::new, cap, &seq)?;
-        assert_one_shard_identical("lfu", LfuCache::new, cap, &seq)?;
-        assert_one_shard_identical("arc", ArcCache::new, cap, &seq)?;
-        assert_one_shard_identical("2q", TwoQueueCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("fifo", FifoCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("clock", ClockCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("lfu", LfuCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("arc", ArcCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("2q", TwoQueueCache::new, cap, &seq)?;
+        assert_one_shard_outcomes("lirs", LirsCache::new, cap, &seq)?;
+        let (plain, sharded) = assert_one_shard_outcomes("lru", LruCache::new, cap, &seq)?;
+        let (a, b) = (snapshot_bytes(&plain), snapshot_bytes(&sharded));
+        prop_assert_eq!(&a, &b, "lru: snapshot bytes differ");
+        let mut restored = ShardedCache::with_shards(cap, 1);
+        restored
+            .load(&mut SnapReader::new(&a))
+            .map_err(|e| TestCaseError::fail(format!("lru: cross-load failed: {e}")))?;
+        prop_assert_eq!(snapshot_bytes(&restored), b, "lru: re-encode differs");
     }
 
     /// With any power-of-two shard count, the sharded cache behaves exactly

@@ -16,7 +16,7 @@
 //!   `FaultEvent::MemoryPressure`), box geometry, DET-PAR base-box
 //!   possession, strip widths, phase halving, replay determinism, and
 //!   stream/result consistency.
-//! * [`reference`] — a deliberately naive `O(n·p)` re-execution simulator
+//! * [`reference`](mod@reference) — a deliberately naive `O(n·p)` re-execution simulator
 //!   sharing no scheduling code with the optimized engine, for
 //!   event-for-event differential testing.
 //! * [`oracle`] — the harness: [`oracle::conform_run`] verdicts one

@@ -394,7 +394,7 @@ const DIFF_CELL_WATCHDOG: std::time::Duration = std::time::Duration::from_secs(3
 /// The runs are independent (each derives its own RNG stream from
 /// `(seed, i)`), so they fan out across the pool; divergences are
 /// assembled in run order, making the report identical for every thread
-/// count. Each cell runs under a [`DIFF_CELL_WATCHDOG`] deadline: a cell
+/// count. Each cell runs under a 30 s watchdog deadline: a cell
 /// that hangs (a livelocked policy, a pathological generated workload)
 /// fails with its workload index and seed instead of wedging the sweep.
 pub fn differential_sweep(count: usize, seed: u64) -> DiffReport {

@@ -6,12 +6,12 @@
 
 use proptest::prelude::*;
 
-use parapage_cache::{Cache, Checkpoint, LruCache, ShardedLru, SnapWriter};
+use parapage_cache::{fnv1a64_seeded, Cache, Checkpoint, LruCache, ProcId, ShardedLru, SnapWriter};
 use parapage_conform::{check_replay, check_resume, CONFORM_POLICIES};
-use parapage_core::{boxed_policy, ModelParams};
+use parapage_core::{boxed_policy, BoxAllocator, FaultEvent, ModelParams};
 use parapage_sched::{
-    CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, NullSink,
-    Supervisor, SupervisorOpts, TraceRecorder, WalCursor,
+    CheckpointStore, CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan,
+    MemStore, NullSink, Supervisor, SupervisorOpts, TraceRecorder, WalCursor,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 
@@ -124,6 +124,23 @@ fn direct_writers_match_reference<C: Cache + Checkpoint>(
     }
 }
 
+/// Steps `engine` `n` times, or until the run completes.
+fn step_up_to<C: Cache>(
+    engine: &mut Engine<'_, C>,
+    alloc: &mut dyn BoxAllocator,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    for _ in 0..n {
+        let more = engine
+            .step(alloc, &mut NullSink)
+            .map_err(|e| TestCaseError::fail(format!("engine errored: {e}")))?;
+        if !more {
+            break;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -227,14 +244,7 @@ proptest! {
         let mut alloc = boxed_policy(policy, &params, seed, true).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
-        let mut sink = NullSink;
-        for _ in 0..steps {
-            match engine.step(&mut *alloc, &mut sink) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(TestCaseError::fail(format!("engine errored: {e}"))),
-            }
-        }
+        step_up_to(&mut engine, &mut *alloc, steps)?;
         let snap = engine.snapshot(&*alloc).unwrap();
         let decoded = EngineSnapshot::decode(&snap.encode()).unwrap();
         prop_assert_eq!(decoded, snap);
@@ -263,23 +273,10 @@ proptest! {
         let mut alloc = boxed_policy(policy, &params, seed, true).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
-        let mut sink = NullSink;
-        for _ in 0..base_steps {
-            match engine.step(&mut *alloc, &mut sink) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(TestCaseError::fail(format!("engine errored: {e}"))),
-            }
-        }
+        step_up_to(&mut engine, &mut *alloc, base_steps)?;
         let base = engine.snapshot(&*alloc).unwrap();
         engine.reset_wal_mark();
-        for _ in 0..delta_steps {
-            match engine.step(&mut *alloc, &mut sink) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(TestCaseError::fail(format!("engine errored: {e}"))),
-            }
-        }
+        step_up_to(&mut engine, &mut *alloc, delta_steps)?;
         let delta = engine.wal_delta(&*alloc).unwrap();
         let full = engine.snapshot(&*alloc).unwrap();
         let mut rebuilt = base;
@@ -304,54 +301,9 @@ proptest! {
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 3, seed);
         let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
-        let plan = FaultPlan::none();
-        let opts = EngineOpts::default();
-
-        let mut alloc = boxed_policy(policy, &params, seed, false).unwrap();
-        let mut engine =
-            Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
-        let mut baseline_trace = TraceRecorder::new();
-        loop {
-            match engine.step(&mut *alloc, &mut baseline_trace) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(TestCaseError::fail(format!("engine errored: {e}"))),
-            }
-        }
-        let baseline_ticks = engine.ticks();
-        let baseline = engine.into_result(&*alloc);
-        let crash = ((baseline_ticks as f64 * crash_frac) as u64).clamp(1, baseline_ticks);
-
-        let sup_opts = SupervisorOpts {
-            epoch_ticks: 8,
-            max_retries: 3,
-            backoff_base: std::time::Duration::ZERO,
-            wal: true,
-            full_snapshot_every: 4,
-            ..SupervisorOpts::default()
-        };
-        let mut recovered_trace = TraceRecorder::new();
-        let report = Supervisor::new(sup_opts)
-            .run_controlled(
-                &seqs,
-                &params,
-                &opts,
-                &plan,
-                &CrashPlan::at_ticks(vec![crash]),
-                || boxed_policy(policy, &params, seed, false).unwrap(),
-                |_| LruCache::new(0),
-                &mut recovered_trace,
-                &mut MemStore::new(),
-                |_| EpochControl::Continue,
-            )
-            .map_err(|e| TestCaseError::fail(format!("{policy}: recovery failed: {e}")))?;
-        prop_assert_eq!(&report.result, &baseline, "{} diverged", policy);
-        let trace_violations = check_replay(baseline_trace.events(), recovered_trace.events());
-        prop_assert!(
-            trace_violations.is_empty(),
-            "{} crash at tick {}/{}: {:?}",
-            policy, crash, baseline_ticks, trace_violations
-        );
+        wal_resume_matches_uninterrupted(
+            policy, &seqs, &params, seed, crash_frac, |_| LruCache::new(0),
+        )?;
     }
 
     /// The WAL resume equivalence extends to the *sharded* concurrent
@@ -372,54 +324,180 @@ proptest! {
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 0, seed);
         let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
-        let plan = FaultPlan::none();
-        let opts = EngineOpts::default();
-        let make_cache = |_| ShardedLru::with_shards(0, 4);
+        wal_resume_matches_uninterrupted(
+            policy, &seqs, &params, seed, crash_frac, |_| ShardedLru::with_shards(0, 4),
+        )?;
+    }
+}
 
-        let mut alloc = boxed_policy(policy, &params, seed, false).unwrap();
-        let mut engine =
-            Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, make_cache);
-        let mut baseline_trace = TraceRecorder::new();
-        loop {
-            match engine.step(&mut *alloc, &mut baseline_trace) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(TestCaseError::fail(format!("engine errored: {e}"))),
+/// The supervisor knobs of the WAL tests: 8-tick epochs, a fresh base
+/// every 4, no backoff.
+fn wal_opts() -> SupervisorOpts {
+    SupervisorOpts {
+        epoch_ticks: 8,
+        max_retries: 3,
+        backoff_base: std::time::Duration::ZERO,
+        full_snapshot_every: 4,
+        ..SupervisorOpts::default()
+    }
+}
+
+/// Runs `policy` uninterrupted, then supervised under [`wal_opts`] with
+/// one crash at `crash_frac` of the run's ticks, and requires the same
+/// result and trace from both.
+fn wal_resume_matches_uninterrupted<C: Cache + Checkpoint>(
+    policy: &str,
+    seqs: &[Vec<parapage_cache::PageId>],
+    params: &ModelParams,
+    seed: u64,
+    crash_frac: f64,
+    make_cache: impl Fn(usize) -> C,
+) -> Result<(), TestCaseError> {
+    let plan = FaultPlan::none();
+    let opts = EngineOpts::default();
+    let mut alloc = boxed_policy(policy, params, seed, false).unwrap();
+    let mut engine = Engine::new(&mut *alloc, seqs, params, &opts, &plan, &make_cache);
+    let mut baseline_trace = TraceRecorder::new();
+    while engine
+        .step(&mut *alloc, &mut baseline_trace)
+        .map_err(|e| TestCaseError::fail(format!("engine errored: {e}")))?
+    {}
+    let baseline_ticks = engine.ticks();
+    let baseline = engine.into_result(&*alloc);
+    let crash = ((baseline_ticks as f64 * crash_frac) as u64).clamp(1, baseline_ticks);
+
+    let mut recovered_trace = TraceRecorder::new();
+    let report = Supervisor::new(wal_opts())
+        .run_controlled(
+            seqs,
+            params,
+            &opts,
+            &plan,
+            &CrashPlan::at_ticks(vec![crash]),
+            || boxed_policy(policy, params, seed, false).unwrap(),
+            &make_cache,
+            &mut recovered_trace,
+            &mut MemStore::new(),
+            |_| EpochControl::Continue,
+        )
+        .map_err(|e| TestCaseError::fail(format!("{policy}: recovery failed: {e}")))?;
+    prop_assert_eq!(&report.result, &baseline, "{} diverged", policy);
+    let trace_violations = check_replay(baseline_trace.events(), recovered_trace.events());
+    prop_assert!(
+        trace_violations.is_empty(),
+        "{} crash at tick {}/{}: {:?}",
+        policy,
+        crash,
+        baseline_ticks,
+        trace_violations
+    );
+    Ok(())
+}
+
+/// A checkpoint store that keeps what recovery reads in a [`MemStore`]
+/// and folds every byte the supervisor hands it, tagged by call, into one
+/// FNV-1a digest.
+#[derive(Default)]
+struct DigestStore {
+    mem: MemStore,
+    digest: u64,
+}
+
+impl CheckpointStore for DigestStore {
+    fn install_base(&mut self, snapshot: &[u8]) {
+        self.digest = fnv1a64_seeded(fnv1a64_seeded(self.digest, b"base"), snapshot);
+        self.mem.install_base(snapshot);
+    }
+
+    fn append_record(&mut self, record: &[u8]) {
+        self.digest = fnv1a64_seeded(fnv1a64_seeded(self.digest, b"record"), record);
+        self.mem.append_record(record);
+    }
+
+    fn view(&mut self) -> Option<(&[u8], &[u8])> {
+        self.mem.view()
+    }
+}
+
+/// One supervised run under a stall, a latency spike, memory pressure and
+/// a crash at tick 50, returning `(stream digest, checkpoint_bytes)`.
+fn checkpoint_stream<C: Cache + Checkpoint>(
+    policy: &str,
+    timelines: bool,
+    make_cache: impl Fn(usize) -> C,
+) -> (u64, u64) {
+    let (p, k, seed) = (4, 32, 42);
+    let params = ModelParams::new(p, k, 6);
+    let seqs = workload_for(p, k, 160, 0, seed);
+    let plan = FaultPlan::new(vec![
+        FaultEvent::ProcStall {
+            proc: ProcId(1),
+            from: 40,
+            until: 400,
+        },
+        FaultEvent::LatencySpike {
+            from: 200,
+            until: 900,
+            factor: 3,
+        },
+        FaultEvent::MemoryPressure {
+            at: 600,
+            new_limit: k,
+        },
+    ]);
+    let opts = EngineOpts {
+        record_timelines: timelines,
+        ..EngineOpts::default()
+    };
+    let mut store = DigestStore::default();
+    let report = Supervisor::new(wal_opts())
+        .run_controlled(
+            &seqs,
+            &params,
+            &opts,
+            &plan,
+            &CrashPlan::at_ticks(vec![50]),
+            || boxed_policy(policy, &params, seed, true).unwrap(),
+            make_cache,
+            &mut NullSink,
+            &mut store,
+            |_| EpochControl::Continue,
+        )
+        .unwrap();
+    assert_eq!((report.crashes, report.resumes), (1, 1), "{policy}");
+    assert_eq!(report.result.faults_injected, 3, "{policy}");
+    assert!(report.wal_records > 0, "{policy}");
+    (store.digest, report.checkpoint_bytes)
+}
+
+/// Every base and WAL record byte the supervisor writes is pinned for
+/// det-par and rand-par, timelines on and off, on `LruCache` and on a
+/// 4-shard `ShardedLru`, across faults, a crash, recovery and re-basing.
+/// The direct-writer test above only proves the served writers agree with
+/// the reference encoders; this one catches a format change made to both.
+#[test]
+fn checkpoint_stream_bytes_are_pinned() {
+    let mut got = Vec::new();
+    for policy in ["det-par", "rand-par"] {
+        for timelines in [false, true] {
+            let lru = checkpoint_stream(policy, timelines, |_| LruCache::new(0));
+            let sharded = checkpoint_stream(policy, timelines, |_| ShardedLru::with_shards(0, 4));
+            for (cache, (digest, bytes)) in [("lru", lru), ("sharded4", sharded)] {
+                got.push(format!(
+                    "{policy} {cache} timelines={timelines}: {digest:#018x} {bytes}"
+                ));
             }
         }
-        let baseline_ticks = engine.ticks();
-        let baseline = engine.into_result(&*alloc);
-        let crash = ((baseline_ticks as f64 * crash_frac) as u64).clamp(1, baseline_ticks);
-
-        let sup_opts = SupervisorOpts {
-            epoch_ticks: 8,
-            max_retries: 3,
-            backoff_base: std::time::Duration::ZERO,
-            wal: true,
-            full_snapshot_every: 4,
-            ..SupervisorOpts::default()
-        };
-        let mut recovered_trace = TraceRecorder::new();
-        let report = Supervisor::new(sup_opts)
-            .run_controlled(
-                &seqs,
-                &params,
-                &opts,
-                &plan,
-                &CrashPlan::at_ticks(vec![crash]),
-                || boxed_policy(policy, &params, seed, false).unwrap(),
-                make_cache,
-                &mut recovered_trace,
-                &mut MemStore::new(),
-                |_| EpochControl::Continue,
-            )
-            .map_err(|e| TestCaseError::fail(format!("{policy}: sharded recovery failed: {e}")))?;
-        prop_assert_eq!(&report.result, &baseline, "{} diverged on sharded cache", policy);
-        let trace_violations = check_replay(baseline_trace.events(), recovered_trace.events());
-        prop_assert!(
-            trace_violations.is_empty(),
-            "{} sharded crash at tick {}/{}: {:?}",
-            policy, crash, baseline_ticks, trace_violations
-        );
     }
+    let want = [
+        "det-par lru timelines=false: 0x3590bc33fc6277f5 6839",
+        "det-par sharded4 timelines=false: 0x55beada5f332e391 7799",
+        "det-par lru timelines=true: 0x4e95705ab5ea2412 9439",
+        "det-par sharded4 timelines=true: 0xa75fca1d054cf502 10399",
+        "rand-par lru timelines=false: 0xb04d72709f2f79d7 15098",
+        "rand-par sharded4 timelines=false: 0xe55dc7958ec74ccf 16778",
+        "rand-par lru timelines=true: 0xf4c2dd1cd38876a6 18674",
+        "rand-par sharded4 timelines=true: 0xb31d8461bf3bfefe 20354",
+    ];
+    assert_eq!(got, want);
 }

@@ -52,7 +52,7 @@ use crate::arena::ChunkVec;
 use crate::error::EngineError;
 use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
-use crate::snapshot::{EngineSnapshot, SnapshotError, WorkloadRef};
+use crate::snapshot::{EngineSnapshot, RunState, SnapshotError, WorkloadRef};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::wal::{
     WalCursor, WalDelta, SEC_AUDIT, SEC_CACHES, SEC_POLICY, SEC_SCALARS, SEC_TIMELINES,
@@ -331,11 +331,6 @@ impl<'a, C: Cache> Engine<'a, C> {
     /// deduplicate the stream across crash boundaries).
     pub fn emitted(&self) -> u64 {
         self.emitted
-    }
-
-    /// `true` once every event has been processed.
-    pub fn is_done(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Declares the current state a checkpoint boundary: the next
@@ -716,37 +711,37 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
     /// [`SnapshotError::Codec`] when the policy (or a green pager inside
     /// it) does not support checkpointing.
     pub fn snapshot(&self, alloc: &dyn BoxAllocator) -> Result<EngineSnapshot, SnapshotError> {
-        let mut cache_blobs = Vec::with_capacity(self.p);
-        for cache in &self.caches {
-            let mut w = SnapWriter::new();
-            cache.save(&mut w);
-            cache_blobs.push(w.into_bytes());
-        }
-        let mut w = SnapWriter::new();
-        alloc.checkpoint(&mut w)?;
-        let policy_blob = w.into_bytes();
-        // Heaps iterate in arbitrary internal order; serialize sorted so
-        // equal states encode to equal bytes.
-        let mut releases: Vec<(Time, usize)> = self.releases.iter().map(|&Reverse(e)| e).collect();
-        releases.sort_unstable();
-        let mut heap: Vec<(Time, u8, u32)> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        heap.sort_unstable();
         Ok(EngineSnapshot {
-            ticks: self.ticks,
-            emitted: self.emitted,
+            run: self.run_state(),
             workload_digest: self.workload_digest,
-            pos: self.pos.clone(),
-            completions: self.completions.clone(),
-            finished: self.finished.clone(),
-            stats: self.stats,
-            memory_integral: self.memory_integral,
-            grants_issued: self.grants_issued,
             timelines: if self.opts.record_timelines {
                 self.timelines.clone()
             } else {
                 Vec::new()
             },
             deltas: self.deltas.to_vec(),
+            cache_blobs: self.caches.iter().map(cache_blob).collect(),
+            policy_blob: policy_blob(alloc)?,
+        })
+    }
+
+    /// The run state at the current event boundary. Heaps iterate in
+    /// arbitrary internal order, so pending releases and events come out
+    /// sorted: equal states compare, and encode, equal.
+    fn run_state(&self) -> RunState {
+        let mut releases: Vec<(Time, usize)> = self.releases.iter().map(|&Reverse(e)| e).collect();
+        releases.sort_unstable();
+        let mut heap: Vec<(Time, u8, u32)> = self.heap.iter().map(|&Reverse(e)| e).collect();
+        heap.sort_unstable();
+        RunState {
+            ticks: self.ticks,
+            emitted: self.emitted,
+            pos: self.pos.clone(),
+            completions: self.completions.clone(),
+            finished: self.finished.clone(),
+            stats: self.stats,
+            memory_integral: self.memory_integral,
+            grants_issued: self.grants_issued,
             live_usage: self.live_usage,
             releases,
             current_limit: self.current_limit,
@@ -754,9 +749,7 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
             faults_injected: self.faults_injected,
             heap,
             remaining: self.remaining,
-            cache_blobs,
-            policy_blob,
-        })
+        }
     }
 
     /// Captures everything that changed since the last checkpoint boundary
@@ -777,37 +770,8 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
     /// [`SnapshotError::Codec`] when the policy does not support
     /// checkpointing; the mark is left untouched on error.
     pub fn wal_delta(&mut self, alloc: &dyn BoxAllocator) -> Result<WalDelta, SnapshotError> {
-        let mut w = SnapWriter::new();
-        alloc.checkpoint(&mut w)?;
-        let policy_blob = w.into_bytes();
-        let mut cache_updates = Vec::with_capacity(self.p);
-        for (x, cache) in self.caches.iter().enumerate() {
-            if self.dirty_caches[x] {
-                let mut w = SnapWriter::new();
-                cache.save(&mut w);
-                cache_updates.push((x as u32, w.into_bytes()));
-            }
-        }
-        let mut releases: Vec<(Time, usize)> = self.releases.iter().map(|&Reverse(e)| e).collect();
-        releases.sort_unstable();
-        let mut heap: Vec<(Time, u8, u32)> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        heap.sort_unstable();
         let delta = WalDelta {
-            ticks: self.ticks,
-            emitted: self.emitted,
-            pos: self.pos.clone(),
-            completions: self.completions.clone(),
-            finished: self.finished.clone(),
-            stats: self.stats,
-            memory_integral: self.memory_integral,
-            grants_issued: self.grants_issued,
-            live_usage: self.live_usage,
-            releases,
-            current_limit: self.current_limit,
-            fault_pos: self.fault_cursor.position(),
-            faults_injected: self.faults_injected,
-            heap,
-            remaining: self.remaining,
+            run: self.run_state(),
             deltas_base: self.ckpt_deltas_len as u64,
             deltas_suffix: self
                 .deltas
@@ -828,8 +792,14 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
             } else {
                 Vec::new()
             },
-            cache_updates,
-            policy_blob,
+            cache_updates: self
+                .caches
+                .iter()
+                .enumerate()
+                .filter(|&(x, _)| self.dirty_caches[x])
+                .map(|(x, cache)| (x as u32, cache_blob(cache)))
+                .collect(),
+            policy_blob: policy_blob(alloc)?,
         };
         self.reset_wal_mark();
         Ok(delta)
@@ -1025,9 +995,10 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
                 found: snap.workload_digest,
             });
         }
-        if snap.pos.len() != self.p
-            || snap.completions.len() != self.p
-            || snap.finished.len() != self.p
+        let run = &snap.run;
+        if run.pos.len() != self.p
+            || run.completions.len() != self.p
+            || run.finished.len() != self.p
             || snap.cache_blobs.len() != self.p
         {
             return Err(SnapshotError::Shape("processor count"));
@@ -1035,7 +1006,7 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         if !snap.timelines.is_empty() && snap.timelines.len() != self.p {
             return Err(SnapshotError::Shape("timeline count"));
         }
-        for (x, &pos) in snap.pos.iter().enumerate() {
+        for (x, &pos) in run.pos.iter().enumerate() {
             if pos > self.seqs[x].len() {
                 return Err(SnapshotError::Shape("sequence cursor out of range"));
             }
@@ -1044,31 +1015,45 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
             cache.load(&mut SnapReader::new(blob))?;
         }
         alloc.restore(&mut SnapReader::new(&snap.policy_blob))?;
-        self.ticks = snap.ticks;
-        self.emitted = snap.emitted;
-        self.pos = snap.pos.clone();
-        self.completions = snap.completions.clone();
-        self.finished = snap.finished.clone();
-        self.stats = snap.stats;
-        self.memory_integral = snap.memory_integral;
-        self.grants_issued = snap.grants_issued;
+        self.ticks = run.ticks;
+        self.emitted = run.emitted;
+        self.pos = run.pos.clone();
+        self.completions = run.completions.clone();
+        self.finished = run.finished.clone();
+        self.stats = run.stats;
+        self.memory_integral = run.memory_integral;
+        self.grants_issued = run.grants_issued;
         self.timelines = if snap.timelines.is_empty() {
             vec![Vec::new(); self.p]
         } else {
             snap.timelines.clone()
         };
         self.deltas.assign(&snap.deltas);
-        self.live_usage = snap.live_usage;
-        self.releases = snap.releases.iter().map(|&e| Reverse(e)).collect();
-        self.current_limit = snap.current_limit;
-        self.fault_cursor.set_position(snap.fault_pos);
-        self.faults_injected = snap.faults_injected;
-        self.heap = snap.heap.iter().map(|&e| Reverse(e)).collect();
-        self.remaining = snap.remaining;
+        self.live_usage = run.live_usage;
+        self.releases = run.releases.iter().map(|&e| Reverse(e)).collect();
+        self.current_limit = run.current_limit;
+        self.fault_cursor.set_position(run.fault_pos);
+        self.faults_injected = run.faults_injected;
+        self.heap = run.heap.iter().map(|&e| Reverse(e)).collect();
+        self.remaining = run.remaining;
         // The restored state *is* the new checkpoint boundary.
         self.reset_wal_mark();
         Ok(())
     }
+}
+
+/// `cache`'s `Checkpoint` blob, for the reference encoders.
+fn cache_blob(cache: &impl Checkpoint) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    cache.save(&mut w);
+    w.into_bytes()
+}
+
+/// `alloc`'s `BoxAllocator::checkpoint` blob, for the reference encoders.
+fn policy_blob(alloc: &dyn BoxAllocator) -> Result<Vec<u8>, SnapshotError> {
+    let mut w = SnapWriter::new();
+    alloc.checkpoint(&mut w)?;
+    Ok(w.into_bytes())
 }
 
 /// A timeline as a length-prefixed list of `(start, end, height)`.

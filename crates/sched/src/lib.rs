@@ -63,12 +63,12 @@ pub use fault::FaultPlan;
 pub use interleaved::{run_interleaved_partition, InterleavedResult};
 pub use metrics::RunResult;
 pub use shared::{run_shared_lru, run_shared_lru_bandwidth};
-pub use snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError, WorkloadRef};
+pub use snapshot::{workload_fingerprint, EngineSnapshot, RunState, SnapshotError, WorkloadRef};
 pub use supervisor::{
     capped_backoff, jittered_backoff, CrashPlan, EpochControl, EpochStatus, RecoveryReport,
     Supervisor, SupervisorError, SupervisorOpts,
 };
-pub use trace::{DigestSink, NullSink, TraceEvent, TraceRecorder, TraceSink};
+pub use trace::{NullSink, TraceEvent, TraceRecorder, TraceSink};
 pub use wal::{
     recover, CheckpointStore, MemStore, WalCursor, WalDelta, WalRecovery, WalTruncation,
 };

@@ -8,11 +8,12 @@
 //! trace, the fault-plan delivery position, the per-processor replacement
 //! cache contents (via `parapage_cache::Checkpoint`), and the policy's own
 //! state (via `BoxAllocator::checkpoint` — RNG position included for the
-//! randomized policies). The resume-equivalence contract — a run resumed
-//! from any snapshot produces the same [`crate::RunResult`] and the same
-//! trace suffix as the uninterrupted run — is enforced by the
-//! `parapage-conform` crate's resume checker and the `parapage chaos` CLI
-//! matrix.
+//! randomized policies). The part of that state a WAL record also carries
+//! is one [`RunState`], encoded and decoded by the same section code in
+//! both formats. The resume-equivalence contract — a run resumed from any
+//! snapshot produces the same [`crate::RunResult`] and the same trace
+//! suffix as the uninterrupted run — is enforced by the `parapage-conform`
+//! crate's resume checker and the `parapage chaos` CLI matrix.
 //!
 //! ### Wire format
 //!
@@ -26,27 +27,20 @@
 use std::error::Error;
 use std::fmt;
 
-use parapage_cache::{decode_framed, CacheStats, CodecError, PageId, SnapReader, SnapWriter, Time};
+use parapage_cache::{
+    decode_framed, fnv1a64, fnv1a64_seeded, CacheStats, CodecError, PageId, SnapReader, SnapWriter,
+    Time,
+};
 use parapage_core::Interval;
 
 /// FNV-1a64 fingerprint of a workload (all sequences, lengths included), so
 /// a snapshot can refuse to resume against a different workload.
 pub fn workload_fingerprint(seqs: &[Vec<PageId>]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = BASIS;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(seqs.len() as u64);
+    let eat = |h: u64, word: u64| fnv1a64_seeded(h, &word.to_le_bytes());
+    let mut h = fnv1a64(&(seqs.len() as u64).to_le_bytes());
     for seq in seqs {
-        eat(seq.len() as u64);
-        for &PageId(pg) in seq {
-            eat(pg);
-        }
+        h = eat(h, seq.len() as u64);
+        h = seq.iter().fold(h, |h, &PageId(pg)| eat(h, pg));
     }
     h
 }
@@ -150,19 +144,21 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
-/// The full dynamic state of an engine run at an event boundary.
+/// The run state both checkpoint formats carry: each processor's cursor
+/// and completion time, the hit/miss counters, the memory-impact integral
+/// behind Theorem 1, and the outstanding boxes with their release times.
 ///
-/// Produced by `Engine::snapshot`, consumed by `Engine::restore`; see the
-/// module docs for the wire format and the resume-equivalence contract.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EngineSnapshot {
+/// [`EngineSnapshot`] and [`crate::wal::WalDelta`] each hold one and write
+/// it as two byte sections with the same code: *progress* (`pos` through
+/// `grants_issued`) and *pending* (`live_usage` through `remaining`). Each
+/// format places `ticks` and `emitted` itself.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunState {
     /// Events processed so far (the engine's logical clock for epochs).
     pub ticks: u64,
     /// Trace events emitted so far (lets a supervisor deduplicate the
     /// stream across crash/resume boundaries).
     pub emitted: u64,
-    /// [`workload_fingerprint`] of the sequences the run was started on.
-    pub workload_digest: u64,
     /// Per-processor next-request index.
     pub pos: Vec<usize>,
     /// Per-processor completion times (0 while unfinished).
@@ -175,11 +171,8 @@ pub struct EngineSnapshot {
     pub memory_integral: u128,
     /// Grants issued so far.
     pub grants_issued: u64,
-    /// Per-processor allocation timelines (empty unless recording).
-    pub timelines: Vec<Vec<Interval>>,
-    /// Height deltas for the peak-memory audit, in emission order.
-    pub deltas: Vec<(Time, i64)>,
-    /// Concurrently-allocated height at the snapshot instant.
+    /// Concurrently-allocated height: the sum of the pending release
+    /// heights.
     pub live_usage: usize,
     /// Pending releases `(time, height)`, sorted.
     pub releases: Vec<(Time, usize)>,
@@ -193,22 +186,12 @@ pub struct EngineSnapshot {
     pub heap: Vec<(Time, u8, u32)>,
     /// Processors not yet completion-notified.
     pub remaining: usize,
-    /// Per-processor replacement-cache state, one `Checkpoint` blob each.
-    pub cache_blobs: Vec<Vec<u8>>,
-    /// The policy's `BoxAllocator::checkpoint` blob.
-    pub policy_blob: Vec<u8>,
 }
 
-impl EngineSnapshot {
-    /// Serializes into the framed wire format (magic + version + payload +
-    /// FNV digest). Canonical: equal snapshots encode to equal bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.ticks);
-        w.put_u64(self.emitted);
-        w.put_u64(self.workload_digest);
-        let p = self.pos.len();
-        w.put_len(p);
+impl RunState {
+    /// Writes the progress section: `pos` through `grants_issued`.
+    pub(crate) fn put_progress(&self, w: &mut SnapWriter) {
+        w.put_len(self.pos.len());
         for &v in &self.pos {
             w.put_usize(v);
         }
@@ -222,32 +205,34 @@ impl EngineSnapshot {
         w.put_u64(self.stats.misses);
         w.put_u128(self.memory_integral);
         w.put_u64(self.grants_issued);
-        w.put_len(self.timelines.len());
-        for tl in &self.timelines {
-            w.put_len(tl.len());
-            for iv in tl {
-                w.put_u64(iv.start);
-                w.put_u64(iv.end);
-                w.put_usize(iv.height);
-            }
-        }
-        w.put_len(self.deltas.len());
-        for &(t, d) in &self.deltas {
-            w.put_u64(t);
-            w.put_i64(d);
-        }
+    }
+
+    /// Reads the progress section into `self`.
+    pub(crate) fn get_progress(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
+        let p = r.get_len()?;
+        self.pos = get_n(r, p, SnapReader::get_usize)?;
+        self.completions = get_n(r, p, SnapReader::get_u64)?;
+        self.finished = get_n(r, p, SnapReader::get_bool)?;
+        self.stats = CacheStats {
+            hits: r.get_u64()?,
+            misses: r.get_u64()?,
+        };
+        self.memory_integral = r.get_u128()?;
+        self.grants_issued = r.get_u64()?;
+        Ok(())
+    }
+
+    /// Writes the pending section: `live_usage` through `remaining`.
+    pub(crate) fn put_pending(&self, w: &mut SnapWriter) {
         w.put_usize(self.live_usage);
         w.put_len(self.releases.len());
         for &(t, h) in &self.releases {
             w.put_u64(t);
             w.put_usize(h);
         }
-        match self.current_limit {
-            Some(l) => {
-                w.put_bool(true);
-                w.put_usize(l);
-            }
-            None => w.put_bool(false),
+        w.put_bool(self.current_limit.is_some());
+        if let Some(l) = self.current_limit {
+            w.put_usize(l);
         }
         w.put_usize(self.fault_pos);
         w.put_u64(self.faults_injected);
@@ -258,6 +243,138 @@ impl EngineSnapshot {
             w.put_u32(proc);
         }
         w.put_usize(self.remaining);
+    }
+
+    /// Reads the pending section into `self`, after the progress section.
+    /// Rejects state the engine could not step from: an event naming a
+    /// processor at or past `pos.len()`, or a `live_usage` other than the
+    /// sum of the pending release heights (which the engine keeps equal).
+    pub(crate) fn get_pending(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
+        self.live_usage = r.get_usize()?;
+        self.releases = get_list(r, |r| Ok((r.get_u64()?, r.get_usize()?)))?;
+        let released = self
+            .releases
+            .iter()
+            .try_fold(0usize, |sum, &(_, h)| sum.checked_add(h));
+        if released != Some(self.live_usage) {
+            return Err(CodecError::Invalid(
+                "live usage differs from the pending release heights",
+            ));
+        }
+        self.current_limit = r.get_bool()?.then(|| r.get_usize()).transpose()?;
+        self.fault_pos = r.get_usize()?;
+        self.faults_injected = r.get_u64()?;
+        let p = self.pos.len();
+        self.heap = get_list(r, |r| {
+            let t = r.get_u64()?;
+            let kind = r.get_u8()?;
+            if kind > 1 {
+                return Err(CodecError::Invalid("unknown pending event kind"));
+            }
+            let proc = r.get_u32()?;
+            if proc as usize >= p {
+                return Err(CodecError::Invalid("pending event names no processor"));
+            }
+            Ok((t, kind, proc))
+        })?;
+        self.remaining = r.get_usize()?;
+        Ok(())
+    }
+}
+
+/// Reads `n` items with `item`.
+pub(crate) fn get_n<'a, T>(
+    r: &mut SnapReader<'a>,
+    n: usize,
+    mut item: impl FnMut(&mut SnapReader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+/// Reads a length-prefixed list of items with `item`.
+pub(crate) fn get_list<'a, T>(
+    r: &mut SnapReader<'a>,
+    item: impl FnMut(&mut SnapReader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.get_len()?;
+    get_n(r, n, item)
+}
+
+/// Writes a timeline as a length-prefixed list of `(start, end, height)`.
+pub(crate) fn put_intervals(w: &mut SnapWriter, tl: &[Interval]) {
+    w.put_len(tl.len());
+    for iv in tl {
+        w.put_u64(iv.start);
+        w.put_u64(iv.end);
+        w.put_usize(iv.height);
+    }
+}
+
+/// Reads a timeline written by [`put_intervals`].
+pub(crate) fn get_intervals(r: &mut SnapReader<'_>) -> Result<Vec<Interval>, CodecError> {
+    get_list(r, |r| {
+        Ok(Interval {
+            start: r.get_u64()?,
+            end: r.get_u64()?,
+            height: r.get_usize()?,
+        })
+    })
+}
+
+/// Writes peak-memory audit entries as a length-prefixed list of
+/// `(time, delta)`.
+pub(crate) fn put_audit(w: &mut SnapWriter, deltas: &[(Time, i64)]) {
+    w.put_len(deltas.len());
+    for &(t, d) in deltas {
+        w.put_u64(t);
+        w.put_i64(d);
+    }
+}
+
+/// Reads audit entries written by [`put_audit`].
+pub(crate) fn get_audit(r: &mut SnapReader<'_>) -> Result<Vec<(Time, i64)>, CodecError> {
+    get_list(r, |r| Ok((r.get_u64()?, r.get_i64()?)))
+}
+
+/// The full dynamic state of an engine run at an event boundary.
+///
+/// Produced by `Engine::snapshot`, consumed by `Engine::restore`; see the
+/// module docs for the wire format and the resume-equivalence contract.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EngineSnapshot {
+    /// Cursors, counters and pending events.
+    pub run: RunState,
+    /// [`workload_fingerprint`] of the sequences the run was started on.
+    pub workload_digest: u64,
+    /// Per-processor allocation timelines (empty unless recording).
+    pub timelines: Vec<Vec<Interval>>,
+    /// Height deltas for the peak-memory audit, in emission order.
+    pub deltas: Vec<(Time, i64)>,
+    /// Per-processor replacement-cache state, one `Checkpoint` blob each.
+    pub cache_blobs: Vec<Vec<u8>>,
+    /// The policy's `BoxAllocator::checkpoint` blob.
+    pub policy_blob: Vec<u8>,
+}
+
+impl EngineSnapshot {
+    /// Serializes into the framed wire format (magic + version + payload +
+    /// FNV digest). Canonical: equal snapshots encode to equal bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(self.run.ticks);
+        w.put_u64(self.run.emitted);
+        w.put_u64(self.workload_digest);
+        self.run.put_progress(&mut w);
+        w.put_len(self.timelines.len());
+        for tl in &self.timelines {
+            put_intervals(&mut w, tl);
+        }
+        put_audit(&mut w, &self.deltas);
+        self.run.put_pending(&mut w);
         w.put_len(self.cache_blobs.len());
         for blob in &self.cache_blobs {
             w.put_bytes(blob);
@@ -271,112 +388,37 @@ impl EngineSnapshot {
     ///
     /// # Errors
     /// [`SnapshotError::Codec`] on a corrupted, truncated, or structurally
-    /// invalid blob.
+    /// invalid blob, including run state the engine could not step from
+    /// (see [`RunState`]'s pending section).
     pub fn decode(blob: &[u8]) -> Result<Self, SnapshotError> {
         let payload = decode_framed(blob)?;
-        let mut r = SnapReader::new(payload);
-        let ticks = r.get_u64()?;
-        let emitted = r.get_u64()?;
-        let workload_digest = r.get_u64()?;
-        let p = r.get_len()?;
-        let mut pos = Vec::with_capacity(p);
-        for _ in 0..p {
-            pos.push(r.get_usize()?);
-        }
-        let mut completions = Vec::with_capacity(p);
-        for _ in 0..p {
-            completions.push(r.get_u64()?);
-        }
-        let mut finished = Vec::with_capacity(p);
-        for _ in 0..p {
-            finished.push(r.get_bool()?);
-        }
-        let stats = CacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
+        let r = &mut SnapReader::new(payload);
+        let mut run = RunState {
+            ticks: r.get_u64()?,
+            emitted: r.get_u64()?,
+            ..RunState::default()
         };
-        let memory_integral = r.get_u128()?;
-        let grants_issued = r.get_u64()?;
+        let workload_digest = r.get_u64()?;
+        run.get_progress(r)?;
+        let p = run.pos.len();
         let n_tl = r.get_len()?;
         if n_tl != 0 && n_tl != p {
             return Err(SnapshotError::Shape("timeline count"));
         }
-        let mut timelines = Vec::with_capacity(n_tl);
-        for _ in 0..n_tl {
-            let n = r.get_len()?;
-            let mut tl = Vec::with_capacity(n);
-            for _ in 0..n {
-                let start = r.get_u64()?;
-                let end = r.get_u64()?;
-                let height = r.get_usize()?;
-                tl.push(Interval { start, end, height });
-            }
-            timelines.push(tl);
-        }
-        let n_deltas = r.get_len()?;
-        let mut deltas = Vec::with_capacity(n_deltas);
-        for _ in 0..n_deltas {
-            let t = r.get_u64()?;
-            let d = r.get_i64()?;
-            deltas.push((t, d));
-        }
-        let live_usage = r.get_usize()?;
-        let n_rel = r.get_len()?;
-        let mut releases = Vec::with_capacity(n_rel);
-        for _ in 0..n_rel {
-            let t = r.get_u64()?;
-            let h = r.get_usize()?;
-            releases.push((t, h));
-        }
-        let current_limit = if r.get_bool()? {
-            Some(r.get_usize()?)
-        } else {
-            None
-        };
-        let fault_pos = r.get_usize()?;
-        let faults_injected = r.get_u64()?;
-        let n_heap = r.get_len()?;
-        let mut heap = Vec::with_capacity(n_heap);
-        for _ in 0..n_heap {
-            let t = r.get_u64()?;
-            let kind = r.get_u8()?;
-            if kind > 1 {
-                return Err(SnapshotError::Codec(CodecError::Invalid(
-                    "unknown event kind in snapshot heap",
-                )));
-            }
-            let proc = r.get_u32()?;
-            heap.push((t, kind, proc));
-        }
-        let remaining = r.get_usize()?;
+        let timelines = get_n(r, n_tl, get_intervals)?;
+        let deltas = get_audit(r)?;
+        run.get_pending(r)?;
         let n_caches = r.get_len()?;
         if n_caches != p {
             return Err(SnapshotError::Shape("cache blob count"));
         }
-        let mut cache_blobs = Vec::with_capacity(n_caches);
-        for _ in 0..n_caches {
-            cache_blobs.push(r.get_bytes()?.to_vec());
-        }
+        let cache_blobs = get_n(r, n_caches, |r| Ok(r.get_bytes()?.to_vec()))?;
         let policy_blob = r.get_bytes()?.to_vec();
         Ok(EngineSnapshot {
-            ticks,
-            emitted,
+            run,
             workload_digest,
-            pos,
-            completions,
-            finished,
-            stats,
-            memory_integral,
-            grants_issued,
             timelines,
             deltas,
-            live_usage,
-            releases,
-            current_limit,
-            fault_pos,
-            faults_injected,
-            heap,
-            remaining,
             cache_blobs,
             policy_blob,
         })
@@ -389,18 +431,27 @@ mod tests {
 
     fn sample() -> EngineSnapshot {
         EngineSnapshot {
-            ticks: 42,
-            emitted: 99,
-            workload_digest: 0xdead_beef,
-            pos: vec![3, 7],
-            completions: vec![0, 120],
-            finished: vec![false, true],
-            stats: CacheStats {
-                hits: 10,
-                misses: 4,
+            run: RunState {
+                ticks: 42,
+                emitted: 99,
+                pos: vec![3, 7],
+                completions: vec![0, 120],
+                finished: vec![false, true],
+                stats: CacheStats {
+                    hits: 10,
+                    misses: 4,
+                },
+                memory_integral: 1 << 70,
+                grants_issued: 9,
+                live_usage: 4,
+                releases: vec![(40, 4)],
+                current_limit: Some(16),
+                fault_pos: 1,
+                faults_injected: 1,
+                heap: vec![(40, 1, 0)],
+                remaining: 1,
             },
-            memory_integral: 1 << 70,
-            grants_issued: 9,
+            workload_digest: 0xdead_beef,
             timelines: vec![
                 vec![Interval {
                     start: 0,
@@ -410,13 +461,6 @@ mod tests {
                 vec![],
             ],
             deltas: vec![(0, 4), (40, -4)],
-            live_usage: 4,
-            releases: vec![(40, 4)],
-            current_limit: Some(16),
-            fault_pos: 1,
-            faults_injected: 1,
-            heap: vec![(40, 1, 0)],
-            remaining: 1,
             cache_blobs: vec![vec![1, 2, 3], vec![]],
             policy_blob: vec![9, 9],
         }

@@ -10,9 +10,9 @@
 //!    base snapshot (see [`crate::wal`]), with a fresh O(state) full
 //!    snapshot installed as a new base every
 //!    [`SupervisorOpts::full_snapshot_every`] epochs — or every epoch
-//!    when [`SupervisorOpts::wal`] is off. Both are written straight from
-//!    engine state into one buffer reused for the whole run
-//!    ([`Engine::write_wal_delta`], [`Engine::write_snapshot`]).
+//!    when that is 0. Both are written straight from engine state into
+//!    one buffer reused for the whole run ([`Engine::write_wal_delta`],
+//!    [`Engine::write_snapshot`]).
 //! 3. On a crash (panic) or watchdog expiry, discard the poisoned engine
 //!    and policy, wait out an exponential backoff, build a **fresh** policy
 //!    from the caller's factory, and recover from the store: decode the
@@ -121,13 +121,10 @@ pub struct SupervisorOpts {
     /// backtraces over test output). Panics on other threads are still
     /// reported, and caught panics still count as crashes either way.
     pub silence_panics: bool,
-    /// Checkpoint incrementally: append an O(changes) WAL delta record at
-    /// each epoch boundary instead of encoding the full O(state) snapshot
-    /// (default `true`; see [`crate::wal`]). Off, every boundary installs
-    /// a full snapshot — the pre-WAL behaviour.
-    pub wal: bool,
-    /// With [`SupervisorOpts::wal`] on, install a fresh full snapshot as a
-    /// new base every this many epochs, bounding recovery-scan length.
+    /// Between full snapshots, append an O(changes) WAL delta record at
+    /// each epoch boundary (see [`crate::wal`]), and install a fresh full
+    /// snapshot as a new base every this many epochs, bounding
+    /// recovery-scan length. 0 installs a full snapshot at every boundary.
     pub full_snapshot_every: u64,
 }
 
@@ -140,7 +137,6 @@ impl Default for SupervisorOpts {
             backoff_cap: Duration::from_millis(50),
             watchdog: Duration::from_secs(30),
             silence_panics: true,
-            wal: true,
             full_snapshot_every: 16,
         }
     }
@@ -553,9 +549,8 @@ impl Supervisor {
                     }
                     Ok(Ok(Stretch::EpochBoundary)) => {
                         epochs += 1;
-                        let incremental = self.opts.wal
-                            && cursor.is_some()
-                            && epochs_since_base < self.opts.full_snapshot_every;
+                        let incremental =
+                            cursor.is_some() && epochs_since_base < self.opts.full_snapshot_every;
                         ckpt.clear();
                         if incremental {
                             cursor
@@ -664,14 +659,15 @@ mod tests {
         (result, rec.into_events())
     }
 
-    /// A DET-PAR run over LRU boxes under `opts`, checkpointing into a
-    /// fresh [`MemStore`] and never migrating.
+    /// A DET-PAR run over LRU boxes under `opts`, checkpointing into
+    /// `store` and never migrating.
     fn supervise(
         opts: SupervisorOpts,
         seqs: &[Vec<PageId>],
         faults: &FaultPlan,
         crash_plan: &CrashPlan,
         sink: &mut impl TraceSink,
+        store: &mut MemStore,
     ) -> Result<RecoveryReport, SupervisorError> {
         Supervisor::new(opts).run_controlled(
             seqs,
@@ -682,7 +678,7 @@ mod tests {
             || Box::new(DetPar::new(&params())),
             |_| LruCache::new(0),
             sink,
-            &mut MemStore::new(),
+            store,
             |_| EpochControl::Continue,
         )
     }
@@ -698,6 +694,7 @@ mod tests {
             &FaultPlan::none(),
             &CrashPlan::none(),
             &mut rec,
+            &mut MemStore::new(),
         )
         .expect("supervised run");
         assert_eq!(report.crashes, 0);
@@ -729,6 +726,7 @@ mod tests {
             &faults,
             &CrashPlan::none(),
             &mut crate::trace::NullSink,
+            &mut MemStore::new(),
         )
         .expect("probe run");
         let total = probe.ticks;
@@ -751,6 +749,7 @@ mod tests {
             &faults,
             &CrashPlan::at_ticks(crash_ticks),
             &mut rec,
+            &mut MemStore::new(),
         )
         .expect("recovered run");
         assert_eq!(report.crashes, n_crashes);
@@ -812,6 +811,7 @@ mod tests {
             &FaultPlan::none(),
             &CrashPlan::at_ticks(vec![20, 24]),
             &mut rec,
+            &mut MemStore::new(),
         )
         .expect("doubly-crashed run");
         assert_eq!(report.crashes, 2);
@@ -918,18 +918,22 @@ mod tests {
                     .collect()
             })
             .collect();
-        let run = |wal: bool| {
+        let run = |full_snapshot_every: u64| {
             supervise(
-                SupervisorOpts { wal, ..tiny_opts() },
+                SupervisorOpts {
+                    full_snapshot_every,
+                    ..tiny_opts()
+                },
                 &seqs,
                 &FaultPlan::none(),
                 &CrashPlan::none(),
                 &mut crate::trace::NullSink,
+                &mut MemStore::new(),
             )
             .expect("supervised run")
         };
-        let full = run(false);
-        let wal = run(true);
+        let full = run(0);
+        let wal = run(tiny_opts().full_snapshot_every);
         assert_eq!(full.result, wal.result);
         assert_eq!(full.epochs, wal.epochs);
         assert_eq!(full.wal_records, 0);
@@ -940,6 +944,94 @@ mod tests {
             wal.checkpoint_bytes,
             full.checkpoint_bytes
         );
+    }
+
+    #[test]
+    fn forged_pending_state_is_a_typed_error_not_a_crash_loop() {
+        // A checkpoint whose pending state the engine cannot step from (an
+        // event naming processor p, or live usage that is not the sum of
+        // the pending release heights) must fail to decode, whether it is
+        // the base or a WAL record after it. A supervisor handed such a
+        // store then restarts (forged base) or resumes from the last good
+        // state (forged record) instead of crashing on every retry.
+        use crate::snapshot::EngineSnapshot;
+        use parapage_cache::CodecError;
+
+        let seqs = seqs();
+        let (want, _) = uninterrupted(&seqs, &FaultPlan::none());
+        let plan = FaultPlan::none();
+        let mut alloc = DetPar::new(&params());
+        let mut engine = Engine::new(
+            &mut alloc,
+            &seqs,
+            &params(),
+            &EngineOpts::default(),
+            &plan,
+            |_| LruCache::new(0),
+        );
+        let step = |engine: &mut Engine<'_, LruCache>, alloc: &mut DetPar| {
+            for _ in 0..8 {
+                assert!(engine.step(alloc, &mut crate::trace::NullSink).unwrap());
+            }
+        };
+        step(&mut engine, &mut alloc);
+        let base = engine.snapshot(&alloc).unwrap();
+        let base_bytes = base.encode();
+        engine.reset_wal_mark();
+        step(&mut engine, &mut alloc);
+        let delta = engine.wal_delta(&alloc).unwrap();
+        assert!(!base.run.heap.is_empty() && !base.run.releases.is_empty());
+        assert!(!delta.run.heap.is_empty());
+
+        let no_proc = CodecError::Invalid("pending event names no processor");
+        let bad_usage = CodecError::Invalid("live usage differs from the pending release heights");
+        let rerun = |store: &mut MemStore| {
+            let clean = CrashPlan::none();
+            supervise(
+                tiny_opts(),
+                &seqs,
+                &plan,
+                &clean,
+                &mut crate::trace::NullSink,
+                store,
+            )
+            .expect("the forged checkpoint is skipped, not stepped from")
+        };
+
+        let mut forged_procs = base.clone();
+        forged_procs.run.heap[0].2 = 4;
+        let mut forged_usage = base.clone();
+        forged_usage.run.live_usage += 1;
+        for (forged, why) in [(forged_procs, &no_proc), (forged_usage, &bad_usage)] {
+            let bytes = forged.encode();
+            assert_eq!(
+                EngineSnapshot::decode(&bytes),
+                Err(SnapshotError::Codec(why.clone()))
+            );
+            let mut store = MemStore::new();
+            store.install_base(&bytes);
+            let report = rerun(&mut store);
+            assert_eq!((report.crashes, report.wal_truncations), (0, 1));
+            assert_eq!(report.result, want);
+        }
+
+        let mut forged_procs = delta.clone();
+        forged_procs.run.heap[0].2 = 4;
+        let mut forged_usage = delta;
+        forged_usage.run.live_usage += 1;
+        for (forged, why) in [(forged_procs, no_proc), (forged_usage, bad_usage)] {
+            let log = WalCursor::at_base(&base_bytes).frame(&forged.encode());
+            let rec = recover(&base_bytes, &log).unwrap();
+            assert_eq!(rec.records_applied, 0);
+            assert_eq!(rec.truncation.map(|t| t.reason), Some(why));
+            assert_eq!(rec.snapshot, base);
+            let mut store = MemStore::new();
+            store.install_base(&base_bytes);
+            store.append_record(&log);
+            let report = rerun(&mut store);
+            assert_eq!((report.crashes, report.wal_truncations), (0, 1));
+            assert_eq!(report.result, want);
+        }
     }
 
     #[test]
@@ -954,36 +1046,26 @@ mod tests {
             max_retries: 0,
             ..tiny_opts()
         };
-        let err = Supervisor::new(opts)
-            .run_controlled(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![20]),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-                &mut store,
-                |_| EpochControl::Continue,
-            )
-            .expect_err("zero retries: the injected crash is fatal");
+        let err = supervise(
+            opts,
+            &seqs,
+            &FaultPlan::none(),
+            &CrashPlan::at_ticks(vec![20]),
+            &mut crate::trace::NullSink,
+            &mut store,
+        )
+        .expect_err("zero retries: the injected crash is fatal");
         assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run_controlled(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-                &mut store,
-                |_| EpochControl::Continue,
-            )
-            .expect("second process finishes the run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            &CrashPlan::none(),
+            &mut rec,
+            &mut store,
+        )
+        .expect("second process finishes the run");
         assert_eq!(report.crashes, 0);
         assert_eq!(report.result, want);
         // The second process replays from the stored checkpoint, so its
@@ -1007,6 +1089,7 @@ mod tests {
             &FaultPlan::none(),
             &CrashPlan::at_ticks(vec![1, 2, 3, 4]),
             &mut crate::trace::NullSink,
+            &mut MemStore::new(),
         )
         .expect_err("budget must run out");
         match err {

@@ -181,82 +181,6 @@ impl TraceSink for TraceRecorder {
     }
 }
 
-/// A sink that folds the stream into a running FNV-1a fingerprint instead
-/// of storing it.
-///
-/// Two runs emitted identical streams iff their digests and counts agree,
-/// so resume-equivalence over long runs can be checked in O(1) memory. The
-/// digest hashes each event's canonical `Debug` rendering — `TraceEvent`'s
-/// derived `Debug` prints every field, so distinct events render
-/// distinctly.
-#[derive(Clone, Copy, Debug)]
-pub struct DigestSink {
-    digest: u64,
-    count: u64,
-}
-
-impl Default for DigestSink {
-    fn default() -> Self {
-        DigestSink::new()
-    }
-}
-
-impl DigestSink {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh (empty-stream) digest.
-    pub fn new() -> Self {
-        DigestSink {
-            digest: Self::FNV_OFFSET,
-            count: 0,
-        }
-    }
-
-    /// The fingerprint of the events absorbed so far.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// How many events were absorbed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-/// `fmt::Write` adapter that FNV-hashes the formatted bytes as they are
-/// produced, so [`DigestSink`] absorbs a `Debug` rendering without ever
-/// materializing the string. Hashes exactly the bytes a `String` render
-/// would, so digests are unchanged from the allocating implementation.
-struct FnvWriter {
-    digest: u64,
-}
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.as_bytes() {
-            self.digest ^= *b as u64;
-            self.digest = self.digest.wrapping_mul(DigestSink::FNV_PRIME);
-        }
-        Ok(())
-    }
-}
-
-impl TraceSink for DigestSink {
-    fn emit(&mut self, event: &TraceEvent) {
-        use std::fmt::Write;
-        let mut w = FnvWriter {
-            digest: self.digest,
-        };
-        let _ = write!(w, "{event:?}");
-        self.digest = w.digest;
-        // Separator byte so event boundaries can't alias.
-        self.digest ^= 0xff;
-        self.digest = self.digest.wrapping_mul(Self::FNV_PRIME);
-        self.count += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,76 +226,6 @@ mod tests {
             .at(),
             11
         );
-    }
-
-    #[test]
-    fn digest_sink_distinguishes_streams() {
-        let a = TraceEvent::Completion {
-            proc: ProcId(0),
-            at: 5,
-        };
-        let b = TraceEvent::Completion {
-            proc: ProcId(1),
-            at: 5,
-        };
-        let mut d1 = DigestSink::new();
-        let mut d2 = DigestSink::new();
-        d1.emit(&a);
-        d1.emit(&b);
-        d2.emit(&a);
-        d2.emit(&b);
-        assert_eq!(d1.digest(), d2.digest());
-        assert_eq!(d1.count(), 2);
-        let mut d3 = DigestSink::new();
-        d3.emit(&b);
-        d3.emit(&a);
-        assert_ne!(d1.digest(), d3.digest(), "order must matter");
-    }
-
-    /// The allocation-free digest must equal an FNV over the materialized
-    /// `Debug` string — the exact bytes the original implementation hashed
-    /// (digest stability across the rewrite).
-    #[test]
-    fn digest_matches_string_render() {
-        let events = [
-            TraceEvent::Grant {
-                proc: ProcId(2),
-                at: 17,
-                height: 8,
-                duration: 80,
-                release_at: 97,
-            },
-            TraceEvent::Window {
-                proc: ProcId(2),
-                at: 17,
-                served: 12,
-                hits: 9,
-                fetches: 3,
-                evictions: 1,
-                time_used: 39,
-                finished: false,
-            },
-            TraceEvent::Fault {
-                at: 20,
-                event: FaultEvent::MemoryPressure {
-                    at: 20,
-                    new_limit: 16,
-                },
-            },
-        ];
-        let mut sink = DigestSink::new();
-        let mut want = DigestSink::FNV_OFFSET;
-        for ev in &events {
-            sink.emit(ev);
-            for b in format!("{ev:?}").as_bytes() {
-                want ^= *b as u64;
-                want = want.wrapping_mul(DigestSink::FNV_PRIME);
-            }
-            want ^= 0xff;
-            want = want.wrapping_mul(DigestSink::FNV_PRIME);
-        }
-        assert_eq!(sink.digest(), want);
-        assert_eq!(sink.count(), 3);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //!
 //! ### Typed delta payload
 //!
-//! A [`WalDelta`] payload is a sequence of tagged sections — engine
-//! scalars, the suffix of the peak-memory audit trace, timeline suffixes,
-//! the cache blobs of exactly the caches mutated during the epoch, the
-//! policy's full checkpoint (which contains the randomized policies' RNG
-//! position, so every RNG draw of the epoch is captured), and the
-//! trace-sequence high-water mark used for crash-boundary deduplication.
+//! A [`WalDelta`] payload is a sequence of tagged sections — the run
+//! state (a [`RunState`], written by the same section code as a full
+//! snapshot's), the suffix of the peak-memory audit trace, timeline
+//! suffixes, the cache blobs of exactly the caches mutated during the
+//! epoch, the policy's full checkpoint (which contains the randomized
+//! policies' RNG position, so every RNG draw of the epoch is captured),
+//! and the trace-sequence high-water mark used for crash-boundary
+//! deduplication.
 //! [`WalDelta::apply`] folds a record into a base [`EngineSnapshot`],
 //! validating that the record actually extends that base (suffix base
 //! lengths, processor counts, monotone counters) so a chain-valid but
@@ -49,12 +51,15 @@
 //! that epoch boundary (pinned by proptests in `parapage-conform`).
 
 use parapage_cache::{
-    fnv1a64, frame_wal_record, parse_wal_record, CacheStats, CodecError, SnapReader, SnapWriter,
-    Time, WalRecordStep, WAL_RECORD_MAGIC,
+    fnv1a64, frame_wal_record, parse_wal_record, CodecError, SnapReader, SnapWriter, Time,
+    WalRecordStep, WAL_RECORD_MAGIC,
 };
 use parapage_core::Interval;
 
-use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::snapshot::{
+    get_audit, get_intervals, get_list, get_n, put_audit, put_intervals, EngineSnapshot, RunState,
+    SnapshotError,
+};
 
 /// Section tags of a [`WalDelta`] payload, in canonical order (shared
 /// with the direct writer, `Engine::write_wal_delta`).
@@ -69,43 +74,16 @@ pub(crate) const SEC_TRACE_HWM: u8 = 6;
 /// an [`EngineSnapshot`] from the previous epoch boundary to this one.
 ///
 /// Produced by `Engine::wal_delta`, consumed by [`WalDelta::apply`] during
-/// a recovery scan. Size is O(changes in the epoch): scalars are O(p), the
-/// audit/timeline sections carry only the entries appended since the last
-/// record, and the cache section carries only the caches the epoch's
-/// events actually touched.
+/// a recovery scan. Size is O(changes in the epoch): the run state is
+/// O(p + pending events), the audit/timeline sections carry only the
+/// entries appended since the last record, and the cache section carries
+/// only the caches the epoch's events actually touched.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalDelta {
-    /// Engine ticks at this epoch boundary.
-    pub ticks: u64,
-    /// Trace-sequence high-water mark (events emitted so far) — what the
-    /// supervisor's gated sink dedups against after a resume.
-    pub emitted: u64,
-    /// Per-processor next-request index.
-    pub pos: Vec<usize>,
-    /// Per-processor completion times (0 while unfinished).
-    pub completions: Vec<Time>,
-    /// Per-processor finished flags.
-    pub finished: Vec<bool>,
-    /// Aggregate hit/miss counters.
-    pub stats: CacheStats,
-    /// Memory impact accumulated so far.
-    pub memory_integral: u128,
-    /// Grants issued so far.
-    pub grants_issued: u64,
-    /// Concurrently-allocated height at the boundary.
-    pub live_usage: usize,
-    /// Pending releases `(time, height)`, sorted.
-    pub releases: Vec<(Time, usize)>,
-    /// The enforced memory limit currently in effect.
-    pub current_limit: Option<usize>,
-    /// Fault-plan delivery position.
-    pub fault_pos: usize,
-    /// Faults delivered so far.
-    pub faults_injected: u64,
-    /// Pending events `(time, kind, proc)`, sorted.
-    pub heap: Vec<(Time, u8, u32)>,
-    /// Processors not yet completion-notified.
-    pub remaining: usize,
+    /// Cursors, counters and pending events at this epoch boundary;
+    /// `emitted` is the trace-sequence high-water mark the supervisor's
+    /// gated sink dedups against after a resume.
+    pub run: RunState,
     /// Length of the base snapshot's audit-delta trace this record extends
     /// (validated by [`WalDelta::apply`] — the stale-base guard).
     pub deltas_base: u64,
@@ -131,63 +109,19 @@ impl WalDelta {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u8(SEC_SCALARS);
-        w.put_u64(self.ticks);
-        let p = self.pos.len();
-        w.put_len(p);
-        for &v in &self.pos {
-            w.put_usize(v);
-        }
-        for &c in &self.completions {
-            w.put_u64(c);
-        }
-        for &f in &self.finished {
-            w.put_bool(f);
-        }
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u128(self.memory_integral);
-        w.put_u64(self.grants_issued);
-        w.put_usize(self.live_usage);
-        w.put_len(self.releases.len());
-        for &(t, h) in &self.releases {
-            w.put_u64(t);
-            w.put_usize(h);
-        }
-        match self.current_limit {
-            Some(l) => {
-                w.put_bool(true);
-                w.put_usize(l);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.fault_pos);
-        w.put_u64(self.faults_injected);
-        w.put_len(self.heap.len());
-        for &(t, kind, proc) in &self.heap {
-            w.put_u64(t);
-            w.put_u8(kind);
-            w.put_u32(proc);
-        }
-        w.put_usize(self.remaining);
+        w.put_u64(self.run.ticks);
+        self.run.put_progress(&mut w);
+        self.run.put_pending(&mut w);
 
         w.put_u8(SEC_AUDIT);
         w.put_u64(self.deltas_base);
-        w.put_len(self.deltas_suffix.len());
-        for &(t, d) in &self.deltas_suffix {
-            w.put_u64(t);
-            w.put_i64(d);
-        }
+        put_audit(&mut w, &self.deltas_suffix);
 
         w.put_u8(SEC_TIMELINES);
         w.put_len(self.timeline_bases.len());
         for (base, suffix) in self.timeline_bases.iter().zip(&self.timeline_suffixes) {
             w.put_u64(*base);
-            w.put_len(suffix.len());
-            for iv in suffix {
-                w.put_u64(iv.start);
-                w.put_u64(iv.end);
-                w.put_usize(iv.height);
-            }
+            put_intervals(&mut w, suffix);
         }
 
         w.put_u8(SEC_CACHES);
@@ -201,7 +135,7 @@ impl WalDelta {
         w.put_bytes(&self.policy_blob);
 
         w.put_u8(SEC_TRACE_HWM);
-        w.put_u64(self.emitted);
+        w.put_u64(self.run.emitted);
         w.into_bytes()
     }
 
@@ -209,131 +143,52 @@ impl WalDelta {
     ///
     /// # Errors
     /// A typed [`CodecError`] on any truncated, reordered, or structurally
-    /// invalid payload — never a panic.
+    /// invalid payload, including run state the engine could not step
+    /// from (see [`RunState`]'s pending section) — never a panic.
     pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = SnapReader::new(payload);
+        let r = &mut SnapReader::new(payload);
         let tag = |r: &mut SnapReader<'_>, want: u8| -> Result<(), CodecError> {
             if r.get_u8()? != want {
                 return Err(CodecError::Invalid("wal section tag out of order"));
             }
             Ok(())
         };
-        tag(&mut r, SEC_SCALARS)?;
-        let ticks = r.get_u64()?;
-        let p = r.get_len()?;
-        let mut pos = Vec::with_capacity(p);
-        for _ in 0..p {
-            pos.push(r.get_usize()?);
-        }
-        let mut completions = Vec::with_capacity(p);
-        for _ in 0..p {
-            completions.push(r.get_u64()?);
-        }
-        let mut finished = Vec::with_capacity(p);
-        for _ in 0..p {
-            finished.push(r.get_bool()?);
-        }
-        let stats = CacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
+        tag(r, SEC_SCALARS)?;
+        let mut run = RunState {
+            ticks: r.get_u64()?,
+            ..RunState::default()
         };
-        let memory_integral = r.get_u128()?;
-        let grants_issued = r.get_u64()?;
-        let live_usage = r.get_usize()?;
-        let n_rel = r.get_len()?;
-        let mut releases = Vec::with_capacity(n_rel);
-        for _ in 0..n_rel {
-            let t = r.get_u64()?;
-            let h = r.get_usize()?;
-            releases.push((t, h));
-        }
-        let current_limit = if r.get_bool()? {
-            Some(r.get_usize()?)
-        } else {
-            None
-        };
-        let fault_pos = r.get_usize()?;
-        let faults_injected = r.get_u64()?;
-        let n_heap = r.get_len()?;
-        let mut heap = Vec::with_capacity(n_heap);
-        for _ in 0..n_heap {
-            let t = r.get_u64()?;
-            let kind = r.get_u8()?;
-            if kind > 1 {
-                return Err(CodecError::Invalid("unknown event kind in wal record"));
-            }
-            let proc = r.get_u32()?;
-            heap.push((t, kind, proc));
-        }
-        let remaining = r.get_usize()?;
+        run.get_progress(r)?;
+        run.get_pending(r)?;
 
-        tag(&mut r, SEC_AUDIT)?;
+        tag(r, SEC_AUDIT)?;
         let deltas_base = r.get_u64()?;
-        let n_suffix = r.get_len()?;
-        let mut deltas_suffix = Vec::with_capacity(n_suffix);
-        for _ in 0..n_suffix {
-            let t = r.get_u64()?;
-            let d = r.get_i64()?;
-            deltas_suffix.push((t, d));
-        }
+        let deltas_suffix = get_audit(r)?;
 
-        tag(&mut r, SEC_TIMELINES)?;
+        tag(r, SEC_TIMELINES)?;
         let n_tl = r.get_len()?;
-        if n_tl != 0 && n_tl != p {
+        if n_tl != 0 && n_tl != run.pos.len() {
             return Err(CodecError::Invalid("wal timeline count"));
         }
-        let mut timeline_bases = Vec::with_capacity(n_tl);
-        let mut timeline_suffixes = Vec::with_capacity(n_tl);
-        for _ in 0..n_tl {
-            timeline_bases.push(r.get_u64()?);
-            let n = r.get_len()?;
-            let mut suffix = Vec::with_capacity(n);
-            for _ in 0..n {
-                let start = r.get_u64()?;
-                let end = r.get_u64()?;
-                let height = r.get_usize()?;
-                suffix.push(Interval { start, end, height });
-            }
-            timeline_suffixes.push(suffix);
+        let timelines = get_n(r, n_tl, |r| Ok((r.get_u64()?, get_intervals(r)?)))?;
+        let (timeline_bases, timeline_suffixes) = timelines.into_iter().unzip();
+
+        tag(r, SEC_CACHES)?;
+        let cache_updates = get_list(r, |r| Ok((r.get_u32()?, r.get_bytes()?.to_vec())))?;
+        if cache_updates.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(CodecError::Invalid("wal cache updates out of order"));
         }
 
-        tag(&mut r, SEC_CACHES)?;
-        let n_caches = r.get_len()?;
-        let mut cache_updates: Vec<(u32, Vec<u8>)> = Vec::with_capacity(n_caches);
-        for _ in 0..n_caches {
-            let proc = r.get_u32()?;
-            if let Some(&(last, _)) = cache_updates.last() {
-                if proc <= last {
-                    return Err(CodecError::Invalid("wal cache updates out of order"));
-                }
-            }
-            cache_updates.push((proc, r.get_bytes()?.to_vec()));
-        }
-
-        tag(&mut r, SEC_POLICY)?;
+        tag(r, SEC_POLICY)?;
         let policy_blob = r.get_bytes()?.to_vec();
 
-        tag(&mut r, SEC_TRACE_HWM)?;
-        let emitted = r.get_u64()?;
+        tag(r, SEC_TRACE_HWM)?;
+        run.emitted = r.get_u64()?;
         if !r.is_exhausted() {
             return Err(CodecError::Invalid("trailing bytes after wal record"));
         }
         Ok(WalDelta {
-            ticks,
-            emitted,
-            pos,
-            completions,
-            finished,
-            stats,
-            memory_integral,
-            grants_issued,
-            live_usage,
-            releases,
-            current_limit,
-            fault_pos,
-            faults_injected,
-            heap,
-            remaining,
+            run,
             deltas_base,
             deltas_suffix,
             timeline_bases,
@@ -352,11 +207,12 @@ impl WalDelta {
     /// lengths that disagree with the snapshot (the stale-base/newer-log
     /// guard, defense in depth behind the digest chain).
     pub fn apply(&self, snap: &mut EngineSnapshot) -> Result<(), CodecError> {
-        let p = snap.pos.len();
-        if self.pos.len() != p || self.completions.len() != p || self.finished.len() != p {
+        let (run, base) = (&self.run, &snap.run);
+        let p = base.pos.len();
+        if run.pos.len() != p || run.completions.len() != p || run.finished.len() != p {
             return Err(CodecError::Invalid("wal record processor count"));
         }
-        if self.ticks < snap.ticks || self.emitted < snap.emitted {
+        if run.ticks < base.ticks || run.emitted < base.emitted {
             return Err(CodecError::Invalid("wal record regresses the run"));
         }
         if self.deltas_base != snap.deltas.len() as u64 {
@@ -380,21 +236,7 @@ impl WalDelta {
             }
         }
 
-        snap.ticks = self.ticks;
-        snap.emitted = self.emitted;
-        snap.pos = self.pos.clone();
-        snap.completions = self.completions.clone();
-        snap.finished = self.finished.clone();
-        snap.stats = self.stats;
-        snap.memory_integral = self.memory_integral;
-        snap.grants_issued = self.grants_issued;
-        snap.live_usage = self.live_usage;
-        snap.releases = self.releases.clone();
-        snap.current_limit = self.current_limit;
-        snap.fault_pos = self.fault_pos;
-        snap.faults_injected = self.faults_injected;
-        snap.heap = self.heap.clone();
-        snap.remaining = self.remaining;
+        snap.run = self.run.clone();
         snap.deltas.extend_from_slice(&self.deltas_suffix);
         for (x, suffix) in self.timeline_suffixes.iter().enumerate() {
             snap.timelines[x].extend_from_slice(suffix);
@@ -503,16 +345,10 @@ pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
     let mut offset = 0usize;
     let mut next_seq = 0u64;
     let mut truncation = None;
-    while truncation.is_none() {
-        match parse_wal_record(&log[offset..], chain) {
+    loop {
+        let step = match parse_wal_record(&log[offset..], chain) {
             WalRecordStep::End => break,
-            WalRecordStep::Torn(reason) => {
-                truncation = Some(WalTruncation {
-                    at_seq: next_seq,
-                    offset,
-                    reason,
-                });
-            }
+            WalRecordStep::Torn(reason) => Err(reason),
             WalRecordStep::Record {
                 seq,
                 payload,
@@ -520,35 +356,27 @@ pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
                 consumed,
             } => {
                 if seq != next_seq {
-                    truncation = Some(WalTruncation {
-                        at_seq: next_seq,
-                        offset,
-                        reason: CodecError::Invalid("wal sequence gap"),
-                    });
-                    continue;
+                    Err(CodecError::Invalid("wal sequence gap"))
+                } else {
+                    WalDelta::decode(payload)
+                        .and_then(|delta| delta.apply(&mut snapshot))
+                        .map(|()| (digest, consumed))
                 }
-                let delta = match WalDelta::decode(payload) {
-                    Ok(d) => d,
-                    Err(reason) => {
-                        truncation = Some(WalTruncation {
-                            at_seq: next_seq,
-                            offset,
-                            reason,
-                        });
-                        continue;
-                    }
-                };
-                if let Err(reason) = delta.apply(&mut snapshot) {
-                    truncation = Some(WalTruncation {
-                        at_seq: next_seq,
-                        offset,
-                        reason,
-                    });
-                    continue;
-                }
+            }
+        };
+        match step {
+            Ok((digest, consumed)) => {
                 chain = digest;
                 offset += consumed;
                 next_seq += 1;
+            }
+            Err(reason) => {
+                truncation = Some(WalTruncation {
+                    at_seq: next_seq,
+                    offset,
+                    reason,
+                });
+                break;
             }
         }
     }
@@ -621,27 +449,30 @@ impl CheckpointStore for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parapage_cache::CacheStats;
 
     fn base_snapshot() -> EngineSnapshot {
         EngineSnapshot {
-            ticks: 10,
-            emitted: 20,
+            run: RunState {
+                ticks: 10,
+                emitted: 20,
+                pos: vec![3, 5],
+                completions: vec![0, 0],
+                finished: vec![false, false],
+                stats: CacheStats { hits: 7, misses: 3 },
+                memory_integral: 100,
+                grants_issued: 4,
+                live_usage: 4,
+                releases: vec![(12, 4)],
+                current_limit: None,
+                fault_pos: 0,
+                faults_injected: 0,
+                heap: vec![(12, 1, 0), (14, 1, 1)],
+                remaining: 2,
+            },
             workload_digest: 0xfeed,
-            pos: vec![3, 5],
-            completions: vec![0, 0],
-            finished: vec![false, false],
-            stats: CacheStats { hits: 7, misses: 3 },
-            memory_integral: 100,
-            grants_issued: 4,
             timelines: Vec::new(),
             deltas: vec![(0, 4), (8, -4)],
-            live_usage: 4,
-            releases: vec![(12, 4)],
-            current_limit: None,
-            fault_pos: 0,
-            faults_injected: 0,
-            heap: vec![(12, 1, 0), (14, 1, 1)],
-            remaining: 2,
             cache_blobs: vec![vec![1], vec![2]],
             policy_blob: vec![9],
         }
@@ -649,24 +480,26 @@ mod tests {
 
     fn delta_after(base: &EngineSnapshot) -> WalDelta {
         WalDelta {
-            ticks: base.ticks + 6,
-            emitted: base.emitted + 12,
-            pos: vec![5, 8],
-            completions: vec![0, 30],
-            finished: vec![false, true],
-            stats: CacheStats {
-                hits: 11,
-                misses: 5,
+            run: RunState {
+                ticks: base.run.ticks + 6,
+                emitted: base.run.emitted + 12,
+                pos: vec![5, 8],
+                completions: vec![0, 30],
+                finished: vec![false, true],
+                stats: CacheStats {
+                    hits: 11,
+                    misses: 5,
+                },
+                memory_integral: 180,
+                grants_issued: 7,
+                live_usage: 2,
+                releases: vec![(20, 2)],
+                current_limit: Some(8),
+                fault_pos: 1,
+                faults_injected: 1,
+                heap: vec![(20, 1, 0)],
+                remaining: 1,
             },
-            memory_integral: 180,
-            grants_issued: 7,
-            live_usage: 2,
-            releases: vec![(20, 2)],
-            current_limit: Some(8),
-            fault_pos: 1,
-            faults_injected: 1,
-            heap: vec![(20, 1, 0)],
-            remaining: 1,
             deltas_base: base.deltas.len() as u64,
             deltas_suffix: vec![(12, 2), (20, -2)],
             timeline_bases: Vec::new(),
@@ -689,8 +522,8 @@ mod tests {
         let mut snap = base_snapshot();
         let delta = delta_after(&snap);
         delta.apply(&mut snap).unwrap();
-        assert_eq!(snap.ticks, 16);
-        assert_eq!(snap.emitted, 32);
+        assert_eq!(snap.run.ticks, 16);
+        assert_eq!(snap.run.emitted, 32);
         assert_eq!(snap.deltas, vec![(0, 4), (8, -4), (12, 2), (20, -2)]);
         assert_eq!(snap.cache_blobs, vec![vec![1], vec![42, 43]]);
         assert_eq!(snap.policy_blob, vec![8, 7]);
@@ -707,9 +540,9 @@ mod tests {
             Err(CodecError::Invalid(_))
         ));
         let mut fewer_procs = base.clone();
-        fewer_procs.pos.pop();
-        fewer_procs.completions.pop();
-        fewer_procs.finished.pop();
+        fewer_procs.run.pos.pop();
+        fewer_procs.run.completions.pop();
+        fewer_procs.run.finished.pop();
         fewer_procs.cache_blobs.pop();
         assert!(matches!(
             delta.apply(&mut fewer_procs),
@@ -796,7 +629,7 @@ mod tests {
         // A different (older) base: the chain seed differs, so not one
         // record of the newer log may apply.
         let mut stale = base.clone();
-        stale.ticks = 1;
+        stale.run.ticks = 1;
         stale.workload_digest = 0xfeed;
         let stale_bytes = stale.encode();
         let rec = recover(&stale_bytes, &log).unwrap();

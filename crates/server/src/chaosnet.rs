@@ -2,8 +2,7 @@
 //! session's TCP stream.
 //!
 //! The *decisions* — chunk sizes, pauses, the byte offset at which the
-//! connection dies — come from a
-//! [`NetFaultPlan`](parapage::conform::NetFaultPlan), which is a pure
+//! connection dies — come from a [`NetFaultPlan`], which is a pure
 //! function of `(seed, connection, byte offset)`; this wrapper merely acts
 //! them out against a real socket. With no plan it is a passthrough, which
 //! is why the regular [`Client`](crate::client::Client) can always carry

@@ -1,11 +1,10 @@
 //! A blocking protocol client: one TCP connection speaking the framed
 //! request/reply stream, used by the load driver and the protocol tests.
 //!
-//! Every client reads and writes through a
-//! [`FaultyTransport`](crate::chaosnet::FaultyTransport) — a passthrough
-//! unless a deterministic fault plan is attached — so clean traffic and
-//! chaos traffic share one code path and the wire byte counters are always
-//! available. A per-request read deadline can be set with
+//! Every client reads and writes through a [`FaultyTransport`] — a
+//! passthrough unless a deterministic fault plan is attached — so clean
+//! traffic and chaos traffic share one code path and the wire byte
+//! counters are always available. A per-request read deadline can be set with
 //! [`Client::set_deadline`]; expiry surfaces as the typed
 //! [`WireError::TimedOut`]. For automatic reconnect, re-attach, and retry
 //! on top of this single-connection client, see

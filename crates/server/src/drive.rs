@@ -8,9 +8,8 @@
 //! which is what lets the crash-isolation and migration tests compare full
 //! reply streams across runs.
 //!
-//! Every tenant drives through a
-//! [`ResilientClient`](crate::resilient::ResilientClient): transport
-//! faults (optionally injected with [`DriveCfg::fault`]) are absorbed by
+//! Every tenant drives through a [`ResilientClient`]: transport faults
+//! (optionally injected with [`DriveCfg::fault`]) are absorbed by
 //! reconnect/re-attach/replay, the recovery work is tallied in
 //! [`DriveReport::retry`], and only *unrecovered* failures count as
 //! [`DriveReport::protocol_errors`] — the number `--expect-clean` gates

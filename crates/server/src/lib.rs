@@ -25,7 +25,7 @@
 //!   streams through transport chaos, or a typed error.
 //! - [`netchaos`] — the `parapage chaos --net` matrix: every fault kind ×
 //!   cut point × tenant count, checked byte-for-byte against a clean run.
-//! - [`drive`] — the `parapage drive` load driver: concurrent tenants,
+//! - [`drive`](mod@drive) — the `parapage drive` load driver: concurrent tenants,
 //!   deterministic workloads, throughput and latency percentiles, and
 //!   retry/reconnect/shed accounting.
 

@@ -9,7 +9,7 @@
 //!
 //! where `digest = fnv1a64_seeded(chain, seq ‖ payload_len ‖ payload)` and
 //! `chain` is the previous frame's digest in the *same direction* (seeded
-//! per direction from [`C2S_CHAIN_SEED`]/[`S2C_CHAIN_SEED`]). Sequence
+//! per direction from [`c2s_chain_seed`]/[`s2c_chain_seed`]). Sequence
 //! numbers start at 0 per direction and must be contiguous, so a dropped,
 //! reordered, replayed, or bit-flipped frame breaks the chain and surfaces
 //! as a typed [`CodecError`] — never a panic.

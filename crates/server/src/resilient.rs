@@ -1,5 +1,5 @@
 //! [`ResilientClient`]: reconnect, re-attach, and retry on top of the
-//! single-connection [`Client`](crate::client::Client).
+//! single-connection [`Client`].
 //!
 //! The contract is the adversarial-network version of the server's
 //! byte-identical reply guarantee: however the transport fails — cut

@@ -5,7 +5,8 @@
 //! (subject to the `max_tenants` cap) or re-attaches to an existing one
 //! (the declared configuration must match — this is what a client does
 //! after reconnecting, and what lets several connections feed one tenant).
-//! Each tenant's engine work runs under the per-batch [`Supervisor`] in
+//! Each tenant's engine work runs under the per-batch
+//! [`Supervisor`](parapage::sched::Supervisor) in
 //! [`crate::tenant`], so a tenant's crash — injected via `Kill` or genuine
 //! — is absorbed inside its own session and never takes down the process
 //! or perturbs any other tenant's replies.

@@ -2,22 +2,21 @@
 //! batch, with deterministic replies across crashes, kills, and
 //! migrations.
 //!
-//! Each [`Frame::Batch`](crate::protocol::Frame::Batch) is executed as one
-//! run of the existing [`Supervisor`]: the policy is rebuilt from the
-//! tenant's declared configuration and a batch-mixed seed, the caches are
-//! the PR-8 [`ShardedLru`](parapage::cache::ShardedLru), and checkpoints go
-//! to the tenant's in-memory [`MemStore`] as per-epoch WAL deltas. A
-//! [`Frame::Kill`](crate::protocol::Frame::Kill) becomes a deterministic
-//! [`CrashPlan`] tick — the supervisor absorbs the panic and resumes from
-//! the WAL — and a [`Frame::Migrate`](crate::protocol::Frame::Migrate)
-//! becomes an [`EpochControl::Migrate`] order at the first epoch boundary
-//! at-or-after the requested tick, tearing the engine down and rebuilding
-//! it through the `snapshot()/restore()` path mid-batch.
+//! Each [`Frame::Batch`] is executed as one run of the existing
+//! [`Supervisor`]: the policy is rebuilt from the tenant's declared
+//! configuration and a batch-mixed seed, the caches are [`ShardedLru`]s,
+//! and checkpoints go to the tenant's in-memory [`MemStore`] as per-epoch
+//! WAL deltas. A [`Frame::Kill`] becomes a deterministic [`CrashPlan`]
+//! tick — the supervisor absorbs the panic and resumes from the WAL — and
+//! a [`Frame::Migrate`] becomes an [`EpochControl::Migrate`] order at the
+//! first epoch boundary at-or-after the requested tick, tearing the engine
+//! down and rebuilding it through the `snapshot()/restore()` path
+//! mid-batch.
 //!
 //! Because supervised recovery is byte-exact (the chaos matrix pins this),
-//! the tenant's [`Frame::BatchDone`](crate::protocol::Frame::BatchDone)
-//! stream — including its running reply chain — is byte-identical whether
-//! or not the engine crashed or migrated along the way. Operational
+//! the tenant's [`Frame::BatchDone`] stream — including its running reply
+//! chain — is byte-identical whether or not the engine crashed or migrated
+//! along the way. Operational
 //! counters (restarts, migrations, checkpoint bytes) are deliberately kept
 //! out of the reply chain and surface only through `Stats`.
 

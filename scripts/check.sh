@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Pre-PR gate and the whole of CI: formatting, lints, the full test
-# suite, the conformance oracle, every chaos matrix, the serve smokes,
-# the bench smoke (which also enforces the ops floors), a quick run of
-# every experiment binary, and the loopback benchmark's correctness
-# smoke. Run from anywhere; works on the repo this script lives in. The
-# bench smoke's JSON report lands in /tmp/parapage-bench-smoke.json.
+# Pre-PR gate and the whole of CI: formatting, lints, rustdoc with
+# warnings denied (so a moved or deleted item cannot leave a dead doc
+# link), the full test suite, the conformance oracle, every chaos matrix,
+# the serve smokes, the bench smoke (which also enforces the ops floors),
+# a quick run of every experiment binary, and the loopback benchmark's
+# correctness smoke. Run from anywhere; works on the repo this script
+# lives in. The bench smoke's JSON report lands in
+# /tmp/parapage-bench-smoke.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +15,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test -q"
 cargo test -q
